@@ -27,7 +27,7 @@ from .predictors import (
     PairPrediction,
     association_link_valid,
 )
-from .tables import merge_grids, parse_table
+from .tables import TableGrids, merge_grids, parse_table
 from .textrules import join_fragments
 
 
@@ -104,6 +104,14 @@ class ResolvedDocument:
     def index(self) -> dict[int, CanonicalElement]:
         return {e.idx: e for e in self.elements}
 
+    def rebuild(self, by_idx: dict[int, CanonicalElement]) -> None:
+        """Re-read the element list from an edited ``index()``, in one pass.
+
+        Elements whose idx left the map were absorbed and are dropped; the
+        rest take the map's (possibly merged) element.
+        """
+        self.elements = [by_idx[e.idx] for e in self.elements if e.idx in by_idx]
+
 
 def merge_text(resolved: ResolvedDocument, pairs: PairPrediction) -> ResolvedDocument:
     """Collapse predicted truncation pairs; chains fuse transitively.
@@ -134,7 +142,6 @@ def merge_text(resolved: ResolvedDocument, pairs: PairPrediction) -> ResolvedDoc
         succ[src] = tgt
         targets.add(tgt)
 
-    absorbed_all: set[int] = set()
     for start in sorted(succ):
         if start in targets:
             continue  # interior of a chain; handled from its head
@@ -153,11 +160,9 @@ def merge_text(resolved: ResolvedDocument, pairs: PairPrediction) -> ResolvedDoc
         resolved.merge_log.records.append(record)
         for i in chain[1:]:
             resolved.merge_log.remap[i] = start
-            absorbed_all.add(i)
+            del by_idx[i]
 
-    resolved.elements = [
-        by_idx[e.idx] for e in resolved.elements if e.idx not in absorbed_all
-    ]
+    resolved.rebuild(by_idx)
     return resolved
 
 
@@ -165,15 +170,22 @@ def merge_tables(
     resolved: ResolvedDocument,
     candidate: TablePairCandidate,
     judgement: CellMergeJudgement,
+    by_idx: Optional[dict[int, CanonicalElement]] = None,
+    grids: Optional[TableGrids] = None,
 ) -> ResolvedDocument:
     """Fuse a cross-page table pair per its column judgement vector.
 
     Raises ColumnMismatch / TableHtmlUnparseable; callers decide whether to
-    skip and flag (the pipeline does).
+    skip and flag (the pipeline does).  A caller merging many pairs passes
+    one ``by_idx`` from ``resolved.index()``: each merge then only edits
+    that map, and the caller calls ``resolved.rebuild(by_idx)`` once at the
+    end.  ``grids`` reuses tables already parsed by the table filter.
     """
     if not judgement.is_continuation:
         return resolved
-    by_idx = resolved.index()
+    batched = by_idx is not None
+    by_idx = by_idx if batched else resolved.index()
+    grids = grids or TableGrids()
     upper = by_idx.get(candidate.upper_idx)
     lower = by_idx.get(candidate.lower_idx)
     if upper is None or lower is None:
@@ -183,9 +195,7 @@ def merge_tables(
     if upper.etype is not ElementType.TABLE or lower.etype is not ElementType.TABLE:
         raise ColumnMismatch("merge_tables endpoints must both be tables")
 
-    upper_grid = parse_table(upper.table_html or "")
-    lower_grid = parse_table(lower.table_html or "")
-    outcome = merge_grids(upper_grid, lower_grid, judgement.columns, join_fragments)
+    outcome = merge_grids(grids.grid(upper), grids.grid(lower), judgement.columns, join_fragments)
 
     merged = replace(upper, table_html=outcome.grid.to_html())
     record = MergeRecord(
@@ -199,11 +209,10 @@ def merge_tables(
     )
     resolved.merge_log.records.append(record)
     resolved.merge_log.remap[lower.idx] = upper.idx
-    resolved.elements = [
-        merged if e.idx == upper.idx else e
-        for e in resolved.elements
-        if e.idx != lower.idx
-    ]
+    by_idx[upper.idx] = merged
+    del by_idx[lower.idx]
+    if not batched:
+        resolved.rebuild(by_idx)
     return resolved
 
 
@@ -214,7 +223,6 @@ def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> Reso
     the front) and are flagged; predicted idx that are not titles are
     skipped with a flag.
     """
-    by_idx = resolved.index()
     title_idx = [e.idx for e in resolved.elements if e.etype is ElementType.TITLE]
     title_set = set(title_idx)
 
@@ -223,6 +231,7 @@ def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> Reso
             resolved.flags.append(f"UnknownIdx:{idx}")
 
     levels: dict[int, int] = {}
+    demote: set[int] = set()
     prev_level = 1
     for idx in title_idx:
         if idx in pred.levels:
@@ -234,16 +243,17 @@ def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> Reso
             resolved.flags.append(f"LevelClamped:{idx}:{level}")
             level = 1
         if level == -1:
-            element = by_idx[idx]
-            resolved.elements = [
-                e.with_type(ElementType.TEXT) if e.idx == idx else e
-                for e in resolved.elements
-            ]
+            demote.add(idx)
             resolved.demoted.append(idx)
             continue
         levels[idx] = level
         prev_level = level
 
+    if demote:
+        resolved.elements = [
+            e.with_type(ElementType.TEXT) if e.idx in demote else e
+            for e in resolved.elements
+        ]
     resolved.levels = levels
     return resolved
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .errors import BadConfig
-from .model import CanonicalDocument, ElementType
+from .model import ElementType
 
 
 def round_half_away(x: float) -> int:
@@ -45,14 +45,6 @@ class PageProfile:
     @property
     def page_count(self) -> int:
         return len(self.counts)
-
-    @classmethod
-    def from_document(cls, doc: CanonicalDocument, etype: ElementType) -> PageProfile:
-        counts = [0] * doc.page_count
-        for e in doc.elements:
-            if e.etype is etype and 0 <= e.page < doc.page_count:
-                counts[e.page] += 1
-        return cls(counts)
 
 
 def compute_boundaries(profile: PageProfile, cfg: ChunkPlanConfig) -> list[int]:

@@ -20,7 +20,7 @@ from .evaluation import GoldAnnotations, evaluate
 from .exporters import export_json, export_markdown, tree_from_json
 from .ingest import normalize_elements
 from .model import CanonicalDocument, validate_document
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, plan_subtasks, run_pipeline
 
 BACKEND_URL_ENV_VAR = "DOCSTITCH_BACKEND_URL"
 
@@ -193,16 +193,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_inspect_chunks(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     doc = _load_document(Path(args.input), cfg.profile)
-    from .pipeline import SUBTASKS, _profile_for
-    from .chunking import ChunkPlanConfig, plan_chunks
-
-    plans = {}
-    for subtask in SUBTASKS:
-        plan = plan_chunks(
-            _profile_for(doc, subtask),
-            ChunkPlanConfig(stride=cfg.stride, threshold=cfg.threshold),
-        )
-        plans[subtask] = plan.to_dict()
+    plans = {name: plan.to_dict() for name, plan in plan_subtasks(doc, cfg).items()}
     _dump(plans, Path(args.out) if args.out else None)
     return 0
 

@@ -38,14 +38,6 @@ class ColumnMismatch(DocstitchError):
     code = "apply.ColumnMismatch"
 
 
-class PairNotAdjacent(DocstitchError):
-    code = "apply.PairNotAdjacent"
-
-
-class BadConfig(DocstitchError):
-    code = "chunking.BadConfig"
-
-
 class BackendUnavailable(DocstitchError):
     code = "predictors.BackendUnavailable"
 
@@ -64,3 +56,7 @@ class ConfigError(DocstitchError):
 
 class ConfigNotFound(ConfigError):
     code = "cli.ConfigNotFound"
+
+
+class BadConfig(ConfigError):
+    code = "chunking.BadConfig"

@@ -18,8 +18,9 @@ from .model import (
     CanonicalElement,
     ElementType,
     FURNITURE_TYPES,
+    PageIndex,
 )
-from .tables import column_count, rows_window_html
+from .tables import TableGrids
 from .textrules import TextRules
 
 ASSOCIATION_TYPES = (
@@ -126,28 +127,41 @@ class TableFilterResult:
     skipped: list[dict] = field(default_factory=list)
 
 
-def _scoped(doc: CanonicalDocument, pages: Optional[tuple[int, int]]) -> list[CanonicalElement]:
+def _scoped(
+    doc: CanonicalDocument, pages: Optional[tuple[int, int]], index: Optional[PageIndex]
+) -> list[CanonicalElement]:
+    """The elements on ``pages`` (all of them for None).
+
+    Callers filtering many page ranges of one document pass the same
+    ``index`` so the document is bucketed once.
+    """
     if pages is None:
         return doc.elements
-    return doc.on_pages(pages[0], pages[1])
+    return (index or PageIndex(doc)).on_pages(pages[0], pages[1])
 
 
-def filter_titles(doc: CanonicalDocument, pages: Optional[tuple[int, int]] = None) -> TitleSequence:
+def filter_titles(
+    doc: CanonicalDocument,
+    pages: Optional[tuple[int, int]] = None,
+    index: Optional[PageIndex] = None,
+) -> TitleSequence:
     items = [
         TitleItem(e.idx, e.content, e.page, e.bbox)
-        for e in _scoped(doc, pages)
+        for e in _scoped(doc, pages, index)
         if e.etype is ElementType.TITLE
     ]
     return TitleSequence(items)
 
 
 def filter_association_candidates(
-    doc: CanonicalDocument, pages: Optional[tuple[int, int]] = None
+    doc: CanonicalDocument,
+    pages: Optional[tuple[int, int]] = None,
+    index: Optional[PageIndex] = None,
 ) -> AssocCandidates:
     wanted = set(ASSOCIATION_TYPES)
     items = [
         AssocItem(e.idx, e.etype, e.content, e.page, e.bbox)
-        for e in _scoped(doc, pages)
+        for e in _scoped(doc, pages, index)
         if e.etype in wanted
     ]
     return AssocCandidates(items)
@@ -171,6 +185,7 @@ def filter_text_truncation_candidates(
     doc: CanonicalDocument,
     cfg: Optional[FilterConfig] = None,
     pages: Optional[tuple[int, int]] = None,
+    index: Optional[PageIndex] = None,
 ) -> list[TextPairCandidate]:
     """Adjacent text pairs that are not provably untruncated.
 
@@ -180,7 +195,7 @@ def filter_text_truncation_candidates(
     """
     cfg = cfg or FilterConfig()
     rules = cfg.rules
-    scoped = _scoped(doc, pages)
+    scoped = _scoped(doc, pages, index)
     texts = [e for e in scoped if e.etype is ElementType.TEXT]
     by_idx = {e.idx: e for e in scoped}
 
@@ -245,15 +260,20 @@ def filter_table_truncation_candidates(
     doc: CanonicalDocument,
     cfg: Optional[FilterConfig] = None,
     pages: Optional[tuple[int, int]] = None,
+    index: Optional[PageIndex] = None,
+    grids: Optional[TableGrids] = None,
 ) -> TableFilterResult:
     """Page-boundary table pairs passing the layout consistency gates.
 
     Gates: width ratio inside the configured band, then equal expanded
     column counts OR a continuation marker in the lower caption.  Tables
     whose HTML fails to parse are skipped and recorded, never fatal.
+    Callers filtering many page ranges pass one ``grids`` so each table is
+    parsed once.
     """
     cfg = cfg or FilterConfig()
-    scoped = _scoped(doc, pages)
+    grids = grids or TableGrids()
+    scoped = _scoped(doc, pages, index)
     by_page: dict[int, list[CanonicalElement]] = {}
     for e in scoped:
         by_page.setdefault(e.page, []).append(e)
@@ -275,15 +295,14 @@ def filter_table_truncation_candidates(
             continue
 
         try:
-            cols = (column_count(upper.table_html or ""), column_count(lower.table_html or ""))
-            upper_rows = rows_window_html(upper.table_html or "", cfg.row_window, tail=True)
-            lower_rows = rows_window_html(lower.table_html or "", cfg.row_window, tail=False)
+            upper_grid, lower_grid = grids.grid(upper), grids.grid(lower)
         except TableHtmlUnparseable as exc:
             result.skipped.append(
                 {"upper_idx": upper.idx, "lower_idx": lower.idx, "reason": exc.message}
             )
             continue
 
+        cols = (upper_grid.n_cols, lower_grid.n_cols)
         lower_caption = _nearest_caption(lower, by_page[nxt])
         if cols[0] != cols[1] and not has_continuation_marker(
             lower_caption, cfg.continuation_markers
@@ -296,8 +315,8 @@ def filter_table_truncation_candidates(
                 lower_idx=lower.idx,
                 upper_caption=_nearest_caption(upper, by_page[page]),
                 lower_caption=lower_caption,
-                upper_rows=upper_rows,
-                lower_rows=lower_rows,
+                upper_rows=upper_grid.row_window_html(cfg.row_window, tail=True),
+                lower_rows=lower_grid.row_window_html(cfg.row_window, tail=False),
                 width_ratio=width_ratio,
                 col_counts=cols,
             )

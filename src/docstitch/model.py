@@ -130,14 +130,6 @@ class CanonicalDocument:
     def index(self) -> dict[int, CanonicalElement]:
         return {e.idx: e for e in self.elements}
 
-    def on_pages(self, start: int, end: int) -> list[CanonicalElement]:
-        """Elements whose page lies in the inclusive range [start, end]."""
-        return [e for e in self.elements if start <= e.page <= end]
-
-    def of_type(self, *etypes: ElementType) -> list[CanonicalElement]:
-        wanted = set(etypes)
-        return [e for e in self.elements if e.etype in wanted]
-
     def to_dict(self) -> dict:
         return {
             "doc_id": self.doc_id,
@@ -163,6 +155,33 @@ class CanonicalDocument:
     @classmethod
     def from_json(cls, text: str) -> CanonicalDocument:
         return cls.from_dict(json.loads(text))
+
+
+class PageIndex:
+    """Element positions bucketed by page, built once per document.
+
+    ``on_pages`` costs the pages asked for, not a scan of the whole
+    document.  Gathered positions are sorted, so an element whose page
+    breaks the page order (reported as ``PageOrder``, still processed)
+    keeps its reading-order place, and pages outside ``0..page_count-1``
+    are indexed like any other.
+    """
+
+    def __init__(self, doc: CanonicalDocument):
+        self._elements = doc.elements
+        self._buckets: dict[int, list[int]] = {}
+        for pos, e in enumerate(doc.elements):
+            self._buckets.setdefault(e.page, []).append(pos)
+
+    def on_pages(self, start: int, end: int) -> list[CanonicalElement]:
+        """Elements whose page lies in the inclusive range [start, end]."""
+        if end - start + 1 <= len(self._buckets):
+            pages: Iterable[int] = range(start, end + 1)
+        else:
+            pages = [p for p in self._buckets if start <= p <= end]
+        positions = [pos for p in pages for pos in self._buckets.get(p, ())]
+        positions.sort()
+        return [self._elements[pos] for pos in positions]
 
 
 @dataclass(frozen=True)
@@ -240,8 +259,3 @@ def validate_document(doc: CanonicalDocument) -> ValidationReport:
         prev_page = max(prev_page, e.page) if prev_page is not None else e.page
     return report
 
-
-def adjacent_pairs(elements: Iterable[CanonicalElement]) -> list[tuple[CanonicalElement, CanonicalElement]]:
-    """Consecutive pairs of a single-type stream, in reading order."""
-    items = list(elements)
-    return list(zip(items, items[1:]))

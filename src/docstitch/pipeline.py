@@ -2,8 +2,9 @@
 
 Everything downstream of the predictor is deterministic; in rules mode the
 whole run is bit-reproducible.  Remote predictions may be issued
-concurrently per (subtask, chunk) up to the configured parallelism;
-results are keyed, so completion order never affects output.
+concurrently up to the configured parallelism, one per (subtask, chunk) and
+one per distinct table pair for table truncation; results are keyed, so
+completion order never affects output.
 """
 
 from __future__ import annotations
@@ -28,14 +29,23 @@ from .errors import ColumnMismatch, ConfigError, TableHtmlUnparseable
 from .filtering import (
     ASSOCIATION_TYPES,
     FilterConfig,
+    TablePairCandidate,
     filter_association_candidates,
     filter_table_truncation_candidates,
     filter_text_truncation_candidates,
     filter_titles,
 )
-from .model import CanonicalDocument, ElementType, validate_document
-from .predictors import FallbackPredictor, Predictor, RulePredictor
+from .model import CanonicalDocument, ElementType, PageIndex, validate_document
+from .predictors import (
+    CellMergeJudgement,
+    FallbackPredictor,
+    HierarchyPrediction,
+    PairPrediction,
+    Predictor,
+    RulePredictor,
+)
 from .predictors.remote import RemotePredictor
+from .tables import TableGrids
 from .textrules import TextRules
 from .tree import (
     DocTree,
@@ -48,6 +58,13 @@ from .tree import (
 )
 
 SUBTASKS = ("hierarchy", "text", "association", "table")
+# The element type each subtask's chunk plan is labelled with.
+TASK_TYPES = {
+    "hierarchy": ElementType.TITLE,
+    "text": ElementType.TEXT,
+    "association": ElementType.IMAGE,
+    "table": ElementType.TABLE,
+}
 
 
 @dataclass
@@ -259,6 +276,19 @@ def _profile_for(doc: CanonicalDocument, subtask: str) -> PageProfile:
     return PageProfile(counts)
 
 
+def plan_subtasks(doc: CanonicalDocument, cfg: PipelineConfig) -> dict[str, ChunkPlan]:
+    """Each subtask's chunk plan, labelled with the subtask's element type."""
+    return {
+        subtask: plan_chunks(
+            _profile_for(doc, subtask),
+            ChunkPlanConfig(
+                stride=cfg.stride, threshold=cfg.threshold, task_type=TASK_TYPES[subtask]
+            ),
+        )
+        for subtask in SUBTASKS
+    }
+
+
 def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report = RunReport(doc_id=doc.doc_id)
     validation = validate_document(doc)
@@ -266,98 +296,101 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         {"code": v.code, "idx": v.idx, "message": v.message} for v in validation.violations
     ]
 
-    task_types = {
-        "hierarchy": ElementType.TITLE,
-        "text": ElementType.TEXT,
-        "association": ElementType.IMAGE,
-        "table": ElementType.TABLE,
-    }
     predictor = make_predictor(cfg)
-    plans: dict[str, ChunkPlan] = {}
-    for subtask in SUBTASKS:
-        plan_cfg = ChunkPlanConfig(
-            stride=cfg.stride,
-            threshold=cfg.threshold,
-            task_type=task_types[subtask],
-        )
-        plans[subtask] = plan_chunks(_profile_for(doc, subtask), plan_cfg)
-        report.realized_overlaps[subtask] = plans[subtask].realized_overlaps()
+    plans = plan_subtasks(doc, cfg)
+    for subtask, plan in plans.items():
+        report.realized_overlaps[subtask] = plan.realized_overlaps()
 
-    # Build every (subtask, chunk) request up front so remote calls can be
-    # issued concurrently; the rule baseline runs them inline.
-    jobs: list[tuple[str, int, Callable[[], Any]]] = []
+    # One page index and one parse of each table serve every chunk.
+    index = PageIndex(doc)
+    grids = TableGrids()
+
+    # Build every request up front so remote calls can be issued
+    # concurrently; the rule baseline runs them inline.  Title, text and
+    # association requests carry their chunk's context, so they are keyed
+    # by chunk.  A table request does not depend on the chunk, so each
+    # distinct (upper, lower) pair is requested once, keyed by the pair,
+    # and its judgement is replayed into every chunk that saw it.
+    jobs: list[tuple[str, Any, Callable[[], Any]]] = []
 
     for chunk_index, span in enumerate(plans["hierarchy"].chunks):
-        titles = filter_titles(doc, pages=span)
+        titles = filter_titles(doc, pages=span, index=index)
         if titles.items:
             jobs.append(
                 ("hierarchy", chunk_index, lambda t=titles: predictor.predict_title_hierarchy(t))
             )
     for chunk_index, span in enumerate(plans["text"].chunks):
-        candidates = filter_text_truncation_candidates(doc, cfg.filters, pages=span)
+        candidates = filter_text_truncation_candidates(doc, cfg.filters, pages=span, index=index)
         if candidates:
             jobs.append(
                 ("text", chunk_index, lambda c=candidates: predictor.predict_text_truncation(c))
             )
     for chunk_index, span in enumerate(plans["association"].chunks):
-        assoc = filter_association_candidates(doc, pages=span)
+        assoc = filter_association_candidates(doc, pages=span, index=index)
         if assoc.items:
             jobs.append(
                 ("association", chunk_index, lambda a=assoc: predictor.predict_association(a))
             )
-    table_results_by_chunk: dict[int, list] = {}
+    table_pairs: dict[tuple[int, int], TablePairCandidate] = {}
+    pairs_by_chunk: list[tuple[int, list[tuple[int, int]]]] = []
     for chunk_index, span in enumerate(plans["table"].chunks):
-        tables = filter_table_truncation_candidates(doc, cfg.filters, pages=span)
+        tables = filter_table_truncation_candidates(
+            doc, cfg.filters, pages=span, index=index, grids=grids
+        )
         for skip in tables.skipped:
             if skip not in report.skipped_tables:
                 report.skipped_tables.append(skip)
+        keys = []
         for cand in tables.candidates:
-            jobs.append(
-                (
-                    "table",
-                    chunk_index,
-                    lambda c=cand: (c, predictor.predict_table_truncation(c)),
-                )
-            )
+            key = (cand.upper_idx, cand.lower_idx)
+            if key not in table_pairs:
+                table_pairs[key] = cand
+                jobs.append(("table", key, lambda c=cand: predictor.predict_table_truncation(c)))
+            keys.append(key)
+        if keys:
+            pairs_by_chunk.append((chunk_index, keys))
 
-    results: dict[tuple[str, int], list] = {}
+    results: dict[tuple[str, Any], Any] = {}
     if cfg.predictor_mode == "remote" and cfg.parallelism > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = [
-                (subtask, chunk_index, pool.submit(fn)) for subtask, chunk_index, fn in jobs
-            ]
-            for subtask, chunk_index, fut in futures:
-                results.setdefault((subtask, chunk_index), []).append(fut.result())
+            futures = [(subtask, key, pool.submit(fn)) for subtask, key, fn in jobs]
+            for subtask, key, fut in futures:
+                results[(subtask, key)] = fut.result()
     else:
-        for subtask, chunk_index, fn in jobs:
-            results.setdefault((subtask, chunk_index), []).append(fn())
+        for subtask, key, fn in jobs:
+            results[(subtask, key)] = fn()
 
-    hier_preds = []
-    text_preds = []
+    def chunk_outputs(subtask: str) -> list[tuple[int, Any]]:
+        return [
+            (k, results[(subtask, k)])
+            for k in range(len(plans[subtask].chunks))
+            if (subtask, k) in results
+        ]
+
+    # Warnings keep the report's order: subtasks by name, then chunk.
     assoc_preds = []
+    for chunk_index, out in chunk_outputs("association"):
+        report.warnings.extend(f"association[{chunk_index}]:{f}" for f in out.flags)
+        report.warnings.extend(
+            f"association[{chunk_index}]:unresolved:{i}" for i in out.unresolved
+        )
+        assoc_preds.append(ChunkPrediction(chunk_index, out.pairs))
+    hier_preds = []
+    for chunk_index, out in chunk_outputs("hierarchy"):
+        report.warnings.extend(f"hierarchy[{chunk_index}]:{f}" for f in out.flags)
+        hier_preds.append(ChunkPrediction(chunk_index, out.levels))
     table_preds = []
-    for (subtask, chunk_index), outs in sorted(results.items()):
-        for out in outs:
-            if subtask == "hierarchy":
-                report.warnings.extend(f"hierarchy[{chunk_index}]:{f}" for f in out.flags)
-                hier_preds.append(ChunkPrediction(chunk_index, out.levels))
-            elif subtask == "text":
-                report.warnings.extend(f"text[{chunk_index}]:{f}" for f in out.flags)
-                text_preds.append(ChunkPrediction(chunk_index, out.pairs))
-            elif subtask == "association":
-                report.warnings.extend(f"association[{chunk_index}]:{f}" for f in out.flags)
-                report.warnings.extend(
-                    f"association[{chunk_index}]:unresolved:{i}" for i in out.unresolved
-                )
-                assoc_preds.append(ChunkPrediction(chunk_index, out.pairs))
-            else:
-                cand, judgement = out
-                report.warnings.extend(f"table[{chunk_index}]:{f}" for f in judgement.flags)
-                table_results_by_chunk.setdefault(chunk_index, []).append(
-                    (cand.upper_idx, cand.lower_idx, judgement.columns)
-                )
-    for chunk_index, payload in sorted(table_results_by_chunk.items()):
+    for chunk_index, keys in pairs_by_chunk:
+        payload = []
+        for upper, lower in keys:
+            judgement = results[("table", (upper, lower))]
+            report.warnings.extend(f"table[{chunk_index}]:{f}" for f in judgement.flags)
+            payload.append((upper, lower, judgement.columns))
         table_preds.append(ChunkPrediction(chunk_index, payload))
+    text_preds = []
+    for chunk_index, out in chunk_outputs("text"):
+        report.warnings.extend(f"text[{chunk_index}]:{f}" for f in out.flags)
+        text_preds.append(ChunkPrediction(chunk_index, out.pairs))
 
     predictions = DocumentPredictions()
     sync = synchronize_hierarchy(hier_preds)
@@ -378,17 +411,13 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report.union_conflicts.extend(table_union.conflicts)
     predictions.table_judgements = table_union.judgements
 
-    resolved = apply_predictions(doc, predictions, cfg)
+    resolved = apply_predictions(doc, predictions, table_pairs, grids)
+    # Nothing below reads the parsed tables; freeing them before the tree is
+    # built keeps the run's peak memory where it was before the cache.
+    del grids
 
     tree = build_tree(resolved)
-    forbidden = {
-        (a, b)
-        for record in resolved.merge_log.records
-        for a, b in zip(
-            [f["idx"] for f in record.fragments], [f["idx"] for f in record.fragments][1:]
-        )
-    }
-    chunk_nodes(tree, cfg.node_chunk_chars, forbidden_boundaries=forbidden)
+    chunk_nodes(tree, cfg.node_chunk_chars)
     summarize_nodes(tree, make_summarizer(cfg), fallback=ExtractiveSummarizer(
         max_sentences=cfg.summary_max_sentences,
         cap_chars=cfg.summary_cap_chars,
@@ -420,26 +449,31 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
 def apply_predictions(
     doc: CanonicalDocument,
     predictions: DocumentPredictions,
-    cfg: PipelineConfig,
+    table_pairs: dict[tuple[int, int], TablePairCandidate],
+    grids: TableGrids,
 ) -> ResolvedDocument:
-    """Run the four application steps in their fixed order."""
-    from .predictors import CellMergeJudgement, HierarchyPrediction, PairPrediction
+    """Run the four application steps in their fixed order.
 
+    ``table_pairs`` holds the candidate the chunk filters built for every
+    judged table pair, and ``grids`` the tables they parsed.
+    """
     resolved = ResolvedDocument.from_document(doc)
     apply_mod.merge_text(resolved, PairPrediction(pairs=list(predictions.text_pairs)))
 
     if predictions.table_judgements:
-        doc_tables = filter_table_truncation_candidates(doc, cfg.filters)
-        by_pair = {(c.upper_idx, c.lower_idx): c for c in doc_tables.candidates}
+        by_idx = resolved.index()
         for upper, lower, columns in predictions.table_judgements:
-            cand = by_pair.get((upper, lower))
-            if cand is None:
-                resolved.flags.append(f"TableCandidateUnknown:{upper}->{lower}")
-                continue
             try:
-                apply_mod.merge_tables(resolved, cand, CellMergeJudgement(columns=list(columns)))
+                apply_mod.merge_tables(
+                    resolved,
+                    table_pairs[(upper, lower)],
+                    CellMergeJudgement(columns=list(columns)),
+                    by_idx,
+                    grids,
+                )
             except (ColumnMismatch, TableHtmlUnparseable) as exc:
                 resolved.flags.append(f"TableMergeSkipped:{upper}->{lower}:{exc.message}")
+        resolved.rebuild(by_idx)
 
     apply_mod.assign_levels(resolved, HierarchyPrediction(levels=dict(predictions.hierarchy)))
     apply_mod.attach_links(resolved, PairPrediction(pairs=list(predictions.assoc_pairs)))

@@ -14,6 +14,7 @@ from html.parser import HTMLParser
 from typing import Callable, Optional
 
 from .errors import ColumnMismatch, TableHtmlUnparseable
+from .model import CanonicalElement
 
 
 @dataclass
@@ -96,6 +97,12 @@ class TableGrid:
                     header=cell.header,
                 )
         return TableGrid(new_cells, stop - start, self.n_cols)
+
+    def row_window_html(self, n: int, tail: bool) -> str:
+        """The first (tail=False) or last (tail=True) n rows as an HTML fragment."""
+        k = min(n, self.n_rows)
+        window = self.slice_rows(self.n_rows - k, self.n_rows) if tail else self.slice_rows(0, k)
+        return window.to_html(fragment=True)
 
     def to_html(self, fragment: bool = False) -> str:
         rows = []
@@ -234,16 +241,30 @@ def parse_table(html: str) -> TableGrid:
         raise TableHtmlUnparseable(str(exc)) from exc
 
 
-def column_count(html: str) -> int:
-    return parse_table(html).n_cols
+class TableGrids:
+    """Parsed table elements for one run: each table's HTML is parsed once.
 
+    Grids are keyed by element idx and tied to the HTML they were parsed
+    from, so a table rewritten by a merge is parsed afresh.  Parse failures
+    are kept too and raise again on every lookup.  Grids are shared, so
+    callers must not mutate them.
+    """
 
-def rows_window_html(html: str, n: int, tail: bool) -> str:
-    """The first (tail=False) or last (tail=True) n rows as an HTML fragment."""
-    grid = parse_table(html)
-    k = min(n, grid.n_rows)
-    window = grid.slice_rows(grid.n_rows - k, grid.n_rows) if tail else grid.slice_rows(0, k)
-    return window.to_html(fragment=True)
+    def __init__(self) -> None:
+        self._parsed: dict[int, tuple[str, TableGrid | str]] = {}
+
+    def grid(self, table: CanonicalElement) -> TableGrid:
+        html = table.table_html or ""
+        hit = self._parsed.get(table.idx)
+        if hit is None or hit[0] != html:
+            try:
+                hit = (html, parse_table(html))
+            except TableHtmlUnparseable as exc:
+                hit = (html, exc.message)
+            self._parsed[table.idx] = hit
+        if isinstance(hit[1], str):
+            raise TableHtmlUnparseable(hit[1])
+        return hit[1]
 
 
 @dataclass

@@ -282,7 +282,10 @@ class RemoteSummarizer(Summarizer):
             raise BackendUnavailable(f"summarizer unreachable: {exc}") from exc
         if resp.status_code != 200:
             raise BackendUnavailable(f"summarizer returned HTTP {resp.status_code}")
-        data = resp.json()
+        try:
+            data = resp.json()
+        except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+            raise BackendUnavailable(f"summarizer response is not JSON: {exc}") from exc
         if not isinstance(data, dict) or "summary" not in data:
             raise BackendUnavailable("summarizer response missing 'summary'")
         return str(data["summary"])[: self.cap_chars]

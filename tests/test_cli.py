@@ -213,6 +213,27 @@ def test_inspect_chunks(tmp_path):
     assert plans["hierarchy"]["realized_overlaps"]
 
 
+def test_inspect_chunks_matches_process_chunks_artifact(tmp_path):
+    out = tmp_path / "plans.json"
+    assert run_cli("inspect-chunks", str(CORPUS_DIR / "long_appendix.json"), "--out", str(out)) == 0
+    assert run_cli("process", str(CORPUS_DIR / "long_appendix.json"), "--out-dir", str(tmp_path)) == 0
+    assert out.read_bytes() == (tmp_path / "long_appendix.chunks.json").read_bytes()
+    plans = json.loads(out.read_text())
+    assert {name: p["task_type"] for name, p in plans.items()} == {
+        "hierarchy": "title", "text": "text", "association": "image", "table": "table",
+    }
+
+
+def test_bad_chunking_flags_are_config_errors(tmp_path, capsys):
+    for flags in (["--stride", "0"], ["--stride", "4", "--threshold", "4"]):
+        code = run_cli(
+            "process", str(CORPUS_DIR / "memo_single.json"), *flags, "--out-dir", str(tmp_path)
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "chunking.BadConfig"
+
+
 def test_env_var_supplies_backend_url(tmp_path, monkeypatch, capsys):
     # env URL is used when no flag is given: unreachable -> fallback warnings
     monkeypatch.setenv("DOCSTITCH_BACKEND_URL", "http://127.0.0.1:9/")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from docstitch.model import CanonicalDocument, validate_document
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from docstitch.model import CanonicalDocument, PageIndex, validate_document
 
 from .helpers import doc, el
 
@@ -62,3 +65,25 @@ def test_document_json_round_trip():
     )
     again = CanonicalDocument.from_json(d.to_json())
     assert again == d
+
+
+# -- page index -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    page_count=st.integers(min_value=1, max_value=8),
+    # pages drawn beyond 0..page_count-1 and in any order, so documents
+    # carry PageOrder and PageOutOfRange violations
+    pages=st.lists(st.integers(min_value=-3, max_value=11), max_size=40),
+    queries=st.lists(
+        st.tuples(st.integers(min_value=-4, max_value=12), st.integers(min_value=-4, max_value=12)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_page_index_matches_brute_force_scan(page_count, pages, queries):
+    d = doc("p", page_count, [el(i, "text", f"e{i}", p) for i, p in enumerate(pages)])
+    index = PageIndex(d)
+    for s, t in queries:
+        assert index.on_pages(s, t) == [e for e in d.elements if s <= e.page <= t]

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+import docstitch.apply
+import docstitch.pipeline
+import docstitch.predictors.rules
+import docstitch.tables
 from docstitch.errors import ConfigError
 from docstitch.model import ElementType, validate_document
 from docstitch.pipeline import PipelineConfig, run_pipeline
+from docstitch.predictors.rules import RulePredictor
 from docstitch.tree import NodeKind, RemoteSummarizer, summarize_nodes
 
 from .conftest import load_corpus_doc
@@ -123,6 +128,18 @@ def test_remote_summarizer_failure_falls_back():
     assert any(f.startswith("SummarizerFallback") for f in result.tree.flags)
 
 
+def test_remote_summarizer_non_json_body_falls_back():
+    doc = stack_elements("s", [("title", "T", 0), ("text", "Body here.", 0)])
+    with MockBackend({"summarize": "garbage"}) as backend:
+        cfg = PipelineConfig(summarizer_mode="remote", summarizer_url=backend.url)
+        result = run_pipeline(doc, cfg)
+    assert result.tree.node("sec0").summary == "Body here."
+    assert any(
+        w.startswith("SummarizerFallback:sec0:") and "not JSON" in w
+        for w in result.report.warnings
+    )
+
+
 def test_parallel_remote_calls_keyed_so_order_never_matters():
     doc = load_corpus_doc("field_manual")
     scripts = {
@@ -195,3 +212,94 @@ def test_run_report_is_json_serializable_and_counts_consistent(corpus):
         result = run_pipeline(doc, PipelineConfig())
         blob = json.dumps(result.report.to_dict())
         assert json.loads(blob)["counts"]["warnings"] == len(result.report.warnings)
+
+
+# -- duplicate work -------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name: str, calls: list) -> None:
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _table_candidates_per_chunk(monkeypatch) -> list:
+    seen: list = []
+    original = docstitch.pipeline.filter_table_truncation_candidates
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.extend((c.upper_idx, c.lower_idx) for c in result.candidates)
+        return result
+
+    monkeypatch.setattr(docstitch.pipeline, "filter_table_truncation_candidates", recording)
+    return seen
+
+
+def test_each_table_pair_predicted_once(monkeypatch, field_manual):
+    seen = _table_candidates_per_chunk(monkeypatch)
+    calls: list = []
+    _count_calls(monkeypatch, RulePredictor, "predict_table_truncation", calls)
+    result = run_pipeline(field_manual, PipelineConfig())
+    distinct = sorted(set(seen))
+    # overlapping chunks see the pair more than once ...
+    assert distinct and len(seen) > len(distinct)
+    # ... but it is predicted once
+    assert sorted((req.upper_idx, req.lower_idx) for _, req in calls) == distinct
+    assert [(u, l) for u, l, _ in result.predictions.table_judgements] == distinct
+
+
+def test_each_table_pair_posted_once_in_remote_mode(monkeypatch, field_manual):
+    seen = _table_candidates_per_chunk(monkeypatch)
+    scripts = {
+        "title_hierarchy": "garbage",
+        "text_truncation": [],
+        "association": [],
+        "table_truncation": [],
+    }
+    with MockBackend(scripts) as backend:
+        cfg = PipelineConfig(
+            predictor_mode="remote", backend_url=backend.url, backend_timeout=5.0, parallelism=4
+        )
+        result = run_pipeline(field_manual, cfg)
+        posted = [r["body"] for r in backend.requests if r["body"]["task"] == "table_truncation"]
+    assert len(seen) > len(set(seen))
+    assert len(posted) == len(set(seen))
+    # the judgement is still recorded for every chunk that saw the pair
+    assert len(result.predictions.table_judgements) == len(set(seen))
+
+
+def test_parse_table_runs_at_most_twice_per_table(monkeypatch, corpus):
+    calls: list = []
+    for module in (docstitch.tables, docstitch.apply, docstitch.predictors.rules):
+        _count_calls(monkeypatch, module, "parse_table", calls)
+    for doc_id, doc in corpus.items():
+        calls.clear()
+        result = run_pipeline(doc, PipelineConfig())
+        tables = [e for e in doc.elements if e.etype is ElementType.TABLE]
+        assert len(calls) <= 2 * len(tables), doc_id
+        # a table's own HTML is parsed once; the rest are row windows
+        parsed = [args[0] for args in calls]
+        for t in tables:
+            assert parsed.count(t.table_html) <= 1, (doc_id, t.idx)
+        if doc_id == "tables_galore":
+            assert result.report.counts["table_merges"] > 0
+
+
+def test_chained_table_pair_after_absorbed_upper_is_skipped():
+    html = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>"
+    doc = stack_elements(
+        "chain", [("table", "", p, {"table_html": html}) for p in range(3)]
+    )
+    result = run_pipeline(doc, PipelineConfig())
+    assert [(u, l) for u, l, _ in result.predictions.table_judgements] == [(0, 1), (1, 2)]
+    assert [e.idx for e in result.resolved.elements] == [0, 2]
+    assert result.resolved.merge_log.remap == {1: 0}
+    assert any(
+        w.startswith("TableMergeSkipped:1->2:") and w.endswith("not in document")
+        for w in result.report.warnings
+    )

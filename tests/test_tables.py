@@ -3,12 +3,7 @@ from __future__ import annotations
 import pytest
 
 from docstitch.errors import ColumnMismatch, TableHtmlUnparseable
-from docstitch.tables import (
-    column_count,
-    merge_grids,
-    parse_table,
-    rows_window_html,
-)
+from docstitch.tables import merge_grids, parse_table
 from docstitch.textrules import join_fragments
 
 
@@ -63,11 +58,11 @@ def test_serialization_round_trip_preserves_grid():
 
 
 def test_rows_window_head_and_tail():
-    html = "<table>" + "".join(f"<tr><td>r{i}</td></tr>" for i in range(5)) + "</table>"
-    assert "r0" in rows_window_html(html, 2, tail=False)
-    assert "r4" in rows_window_html(html, 2, tail=True)
-    assert "r0" not in rows_window_html(html, 2, tail=True)
-    assert column_count(html) == 1
+    grid = parse_table("<table>" + "".join(f"<tr><td>r{i}</td></tr>" for i in range(5)) + "</table>")
+    assert "r0" in grid.row_window_html(2, tail=False)
+    assert "r4" in grid.row_window_html(2, tail=True)
+    assert "r0" not in grid.row_window_html(2, tail=True)
+    assert grid.n_cols == 1
 
 
 def test_fragment_without_table_wrapper_parses():
