@@ -25,7 +25,6 @@ def round_half_away(x: float) -> int:
 class ChunkPlanConfig:
     stride: int = 8
     threshold: int = 2
-    task_type: ElementType = ElementType.TITLE
 
     def __post_init__(self) -> None:
         if self.stride < 1:
@@ -115,13 +114,16 @@ class ChunkPlan:
         }
 
 
-def plan_chunks(profile: PageProfile, cfg: ChunkPlanConfig) -> ChunkPlan:
+def plan_chunks(
+    profile: PageProfile, cfg: ChunkPlanConfig, task_type: ElementType = ElementType.TITLE
+) -> ChunkPlan:
+    """The chunk plan for ``profile``, labelled with ``task_type``."""
     boundaries = compute_boundaries(profile, cfg)
     chunks = build_chunks(boundaries, profile.page_count - 1)
     return ChunkPlan(
         boundaries=boundaries,
         chunks=chunks,
-        task_type=cfg.task_type,
+        task_type=task_type,
         stride=cfg.stride,
         threshold=cfg.threshold,
     )

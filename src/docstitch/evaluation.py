@@ -12,7 +12,7 @@ suite checks it against an independent brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import SchemaMismatch
@@ -149,12 +149,7 @@ class PairPRF:
         return (self.precision, self.recall, self.f1)
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "vacuous_precision": self.vacuous_precision,
-        }
+        return asdict(self)
 
 
 def pair_prf(pred: Iterable[tuple], gold: Iterable[tuple]) -> PairPRF:
@@ -193,14 +188,7 @@ class MergeAccuracyReport:
     unit_total: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "continuation": self.continuation,
-            "column": self.column,
-            "vector": self.vector,
-            "unit_correct": self.unit_correct,
-            "unit_total": self.unit_total,
-        }
+        return asdict(self)
 
 
 def merge_accuracy(
@@ -280,7 +268,7 @@ class BBoxScores:
     iou: Optional[float]
 
     def to_dict(self) -> dict:
-        return {"recall": self.recall, "iou": self.iou}
+        return asdict(self)
 
 
 def bbox_scores(retrieved: Sequence[PageBox], gold: Sequence[PageBox]) -> BBoxScores:

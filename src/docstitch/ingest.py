@@ -28,11 +28,12 @@ report rather than failing the ingest; downstream filters ignore ``other``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .errors import BBoxInvalid, MalformedInput, SchemaUnknown
 from .model import (
@@ -81,6 +82,7 @@ class Profile:
         return None
 
 
+@functools.cache
 def _builtin_profiles() -> dict[str, Profile]:
     profiles = {}
     pkg = resources.files(__package__) / "profiles"
@@ -91,20 +93,8 @@ def _builtin_profiles() -> dict[str, Profile]:
     return profiles
 
 
-_PROFILES: Optional[dict[str, Profile]] = None
-
-
 def registered_profiles() -> dict[str, Profile]:
-    global _PROFILES
-    if _PROFILES is None:
-        _PROFILES = _builtin_profiles()
-    return dict(_PROFILES)
-
-
-def register_profile(profile: Profile) -> None:
-    registered_profiles()
-    assert _PROFILES is not None
-    _PROFILES[profile.name] = profile
+    return dict(_builtin_profiles())
 
 
 def load_profile(name_or_path: str) -> Profile:

@@ -9,9 +9,11 @@ all reference blocks by ``idx``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
+
+from .errors import MalformedInput
 
 
 class ElementType(str, Enum):
@@ -89,7 +91,7 @@ class CanonicalElement:
 
     @classmethod
     def from_dict(cls, d: dict) -> CanonicalElement:
-        return cls(
+        element = cls(
             idx=int(d["idx"]),
             etype=ElementType(d["type"]),
             content=d.get("content", "") or "",
@@ -98,6 +100,10 @@ class CanonicalElement:
             table_html=d.get("table_html"),
             asset_ref=d.get("asset_ref"),
         )
+        for text in (element.content, element.table_html, element.asset_ref):
+            if text is not None and type(text) is not str:
+                raise TypeError(f"expected a string, got {text!r}")
+        return element
 
 
 class CoordUnit(str, Enum):
@@ -144,13 +150,25 @@ class CanonicalDocument:
 
     @classmethod
     def from_dict(cls, d: dict) -> CanonicalDocument:
-        return cls(
-            doc_id=str(d["doc_id"]),
-            page_count=int(d["page_count"]),
-            coord_unit=CoordUnit(d.get("coord_unit", "pixel")),
-            source_schema=d.get("source_schema", "generic"),
-            elements=[CanonicalElement.from_dict(e) for e in d["elements"]],
-        )
+        """Raises MalformedInput naming a missing or unreadable field."""
+        pos = None
+        try:
+            elements = []
+            for pos, e in enumerate(d["elements"]):
+                elements.append(CanonicalElement.from_dict(e))
+            pos = None
+            return cls(
+                doc_id=str(d["doc_id"]),
+                page_count=int(d["page_count"]),
+                coord_unit=CoordUnit(d.get("coord_unit", "pixel")),
+                source_schema=d.get("source_schema", "generic"),
+                elements=elements,
+            )
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            where = "document" if pos is None else f"element #{pos}"
+            if isinstance(exc, KeyError):
+                raise MalformedInput(f"{where} is missing its {exc.args[0]} field") from exc
+            raise MalformedInput(f"{where} has a bad field: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> CanonicalDocument:
@@ -210,10 +228,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "violations": [
-                {"code": v.code, "idx": v.idx, "message": v.message}
-                for v in self.violations
-            ],
+            "violations": [asdict(v) for v in self.violations],
         }
 
 

@@ -9,9 +9,10 @@ completion order never affects output.
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable, Optional
 
 from . import apply as apply_mod
 from .apply import ResolvedDocument
@@ -57,15 +58,6 @@ from .tree import (
     summarize_nodes,
 )
 
-SUBTASKS = ("hierarchy", "text", "association", "table")
-# The element type each subtask's chunk plan is labelled with.
-TASK_TYPES = {
-    "hierarchy": ElementType.TITLE,
-    "text": ElementType.TEXT,
-    "association": ElementType.IMAGE,
-    "table": ElementType.TABLE,
-}
-
 
 @dataclass
 class PipelineConfig:
@@ -106,83 +98,83 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> PipelineConfig:
-        """Build from the config-file layout, rejecting unknown keys."""
-        known_top = {
-            "profile", "chunking", "filters", "predictor", "tree", "export", "jobs",
-        }
-        unknown = set(raw) - known_top
+        """Build from the config-file layout, rejecting unknown keys and
+        wrong-typed values; keys left out or null keep the dataclass defaults."""
+        allowed: dict[Optional[str], set[str]] = {}
+        for section, key in CONFIG_KEYS:
+            allowed.setdefault(section, set()).add(key)
+        unknown = set(raw) - allowed[None] - set(allowed)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def section(name: str, allowed: set[str]) -> dict:
-            sec = raw.get(name, {})
-            if not isinstance(sec, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(sec) - allowed
+        for section in filter(None, allowed):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"config section {section!r} must be an object")
+            bad = set(raw.get(section, {})) - allowed[section]
             if bad:
-                raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-            return sec
+                raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
 
-        chunking = section("chunking", {"stride", "threshold"})
-        predictor = section(
-            "predictor", {"mode", "backend_url", "timeout_s", "parallelism"}
-        )
-        tree = section(
-            "tree",
-            {
-                "node_chunk_chars",
-                "summarizer",
-                "summarizer_url",
-                "summary_cap_chars",
-                "summary_max_sentences",
-            },
-        )
-        export = section("export", {"formats"})
-        filters_raw = section(
-            "filters",
-            {
-                "terminators",
-                "prefix_patterns",
-                "sentence_cap_chars",
-                "width_band",
-                "continuation_markers",
-                "row_window",
-            },
-        )
-        rules = TextRules(
-            terminators=frozenset(
-                filters_raw.get("terminators", sorted(TextRules().terminators))
-            ),
-            prefix_patterns=tuple(
-                filters_raw.get("prefix_patterns", TextRules().prefix_patterns)
-            ),
-            sentence_cap_chars=int(filters_raw.get("sentence_cap_chars", 300)),
-        )
-        filters = FilterConfig(
-            rules=rules,
-            width_band=tuple(filters_raw.get("width_band", (0.9, 1.1))),  # type: ignore[arg-type]
-            continuation_markers=tuple(
-                filters_raw.get("continuation_markers", FilterConfig().continuation_markers)
-            ),
-            row_window=int(filters_raw.get("row_window", 3)),
-        )
-        return cls(
-            profile=raw.get("profile", "generic"),
-            stride=int(chunking.get("stride", 8)),
-            threshold=int(chunking.get("threshold", 2)),
-            predictor_mode=predictor.get("mode", "rules"),
-            backend_url=predictor.get("backend_url"),
-            backend_timeout=float(predictor.get("timeout_s", 30.0)),
-            parallelism=int(predictor.get("parallelism", 4)),
-            node_chunk_chars=int(tree.get("node_chunk_chars", 1200)),
-            summarizer_mode=tree.get("summarizer", "extractive"),
-            summarizer_url=tree.get("summarizer_url"),
-            summary_cap_chars=int(tree.get("summary_cap_chars", 300)),
-            summary_max_sentences=int(tree.get("summary_max_sentences", 2)),
-            export_formats=tuple(export.get("formats", ("json", "markdown"))),
-            jobs=int(raw.get("jobs", 1)),
-            filters=filters,
-        )
+        given: dict[str, dict[str, Any]] = {"": {}, "filters": {}, "rules": {}}
+        for (section, key), (target, convert) in CONFIG_KEYS.items():
+            values = raw if section is None else raw.get(section, {})
+            if values.get(key) is None:
+                continue
+            try:
+                value = convert(values[key])
+            except (TypeError, ValueError) as exc:
+                where = key if section is None else f"{section}.{key}"
+                raise ConfigError(f"bad config value for {where}: {exc}") from exc
+            owner, _, name = target.rpartition(".")
+            given[owner][name] = value
+        try:
+            rules = TextRules(**given["rules"])
+        except re.error as exc:
+            raise ConfigError(f"bad config value for filters.prefix_patterns: {exc}") from exc
+        return cls(filters=FilterConfig(rules=rules, **given["filters"]), **given[""])
+
+
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _strings(value: Any) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(_str(v) for v in value)
+
+
+def _band(value: Any) -> tuple[float, float]:
+    low, high = value
+    return (float(low), float(high))
+
+
+# Config-file (section, key) -> (target field, conversion).  A target is a
+# PipelineConfig field, or "filters.<field>" / "rules.<field>" of the
+# FilterConfig and TextRules inside it.  Section order is the order in
+# which malformed sections are reported.
+CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] = {
+    (None, "profile"): ("profile", _str),
+    (None, "jobs"): ("jobs", int),
+    ("chunking", "stride"): ("stride", int),
+    ("chunking", "threshold"): ("threshold", int),
+    ("predictor", "mode"): ("predictor_mode", _str),
+    ("predictor", "backend_url"): ("backend_url", _str),
+    ("predictor", "timeout_s"): ("backend_timeout", float),
+    ("predictor", "parallelism"): ("parallelism", int),
+    ("tree", "node_chunk_chars"): ("node_chunk_chars", int),
+    ("tree", "summarizer"): ("summarizer_mode", _str),
+    ("tree", "summarizer_url"): ("summarizer_url", _str),
+    ("tree", "summary_cap_chars"): ("summary_cap_chars", int),
+    ("tree", "summary_max_sentences"): ("summary_max_sentences", int),
+    ("export", "formats"): ("export_formats", _strings),
+    ("filters", "terminators"): ("rules.terminators", lambda v: frozenset(_strings(v))),
+    ("filters", "prefix_patterns"): ("rules.prefix_patterns", _strings),
+    ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", int),
+    ("filters", "width_band"): ("filters.width_band", _band),
+    ("filters", "continuation_markers"): ("filters.continuation_markers", _strings),
+    ("filters", "row_window"): ("filters.row_window", int),
+}
 
 
 @dataclass
@@ -218,16 +210,7 @@ class RunReport:
     realized_overlaps: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "warnings": self.warnings,
-            "validation": self.validation,
-            "sync": self.sync,
-            "union_conflicts": self.union_conflicts,
-            "skipped_tables": self.skipped_tables,
-            "counts": self.counts,
-            "realized_overlaps": self.realized_overlaps,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -247,153 +230,167 @@ def make_predictor(cfg: PipelineConfig) -> Predictor:
     return FallbackPredictor(remote, rules)
 
 
-def make_summarizer(cfg: PipelineConfig) -> Summarizer:
-    if cfg.summarizer_mode == "extractive":
-        return ExtractiveSummarizer(
-            max_sentences=cfg.summary_max_sentences,
-            cap_chars=cfg.summary_cap_chars,
-            rules=cfg.filters.rules,
-        )
-    return RemoteSummarizer(
-        cfg.summarizer_url or "", timeout=cfg.backend_timeout, cap_chars=cfg.summary_cap_chars
-    )
-
-
-def _profile_for(doc: CanonicalDocument, subtask: str) -> PageProfile:
-    if subtask == "hierarchy":
-        types = (ElementType.TITLE,)
-    elif subtask == "text":
-        types = (ElementType.TEXT,)
-    elif subtask == "association":
-        types = tuple(ASSOCIATION_TYPES)
-    else:
-        types = (ElementType.TABLE,)
+def _page_density(doc: CanonicalDocument, types: frozenset[ElementType]) -> PageProfile:
     counts = [0] * doc.page_count
-    wanted = set(types)
     for e in doc.elements:
-        if e.etype in wanted and 0 <= e.page < doc.page_count:
+        if e.etype in types and 0 <= e.page < doc.page_count:
             counts[e.page] += 1
     return PageProfile(counts)
 
 
+@dataclass
+class _Run:
+    """What one run's request builders share across chunks."""
+
+    doc: CanonicalDocument
+    filters: FilterConfig
+    index: PageIndex
+    report: RunReport
+    grids: TableGrids = field(default_factory=TableGrids)
+    # The candidate of every table pair requested, for apply.
+    table_pairs: dict[tuple[int, int], TablePairCandidate] = field(default_factory=dict)
+
+
+def _one_per_chunk(select: Callable[[_Run, tuple[int, int]], Any]) -> Callable:
+    """A builder for a subtask whose request carries its chunk's context:
+    one request per chunk with any candidates, keyed by the chunk."""
+
+    def requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[Any, Any]]:
+        request = select(run, span)
+        return [(chunk, request)] if len(request) else []
+
+    return requests
+
+
+def _table_requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[Any, Any]]:
+    """A table request does not depend on the chunk, so it is keyed by its
+    (upper, lower) pair: each distinct pair is predicted once and its
+    judgement replayed into every chunk that saw it."""
+    tables = filter_table_truncation_candidates(
+        run.doc, run.filters, pages=span, index=run.index, grids=run.grids
+    )
+    for skip in tables.skipped:
+        if skip not in run.report.skipped_tables:
+            run.report.skipped_tables.append(skip)
+    out = []
+    for cand in tables.candidates:
+        key = (cand.upper_idx, cand.lower_idx)
+        run.table_pairs.setdefault(key, cand)
+        out.append((key, cand))
+    return out
+
+
+@dataclass(frozen=True)
+class Subtask:
+    """How one subtask is chunked, requested, predicted and read back.
+
+    ``requests(run, chunk, span)`` filters one chunk into ``(key, request)``
+    pairs; a key is predicted once however many chunks ask for it.
+    ``payload(key, prediction)`` gives the items the prediction adds to the
+    chunk's payload and the flags it adds to the run's warnings.  Filters
+    and predictor methods are looked up by name at call time, so rebinding
+    one (as a tracer does) takes effect.
+    """
+
+    name: str
+    plan_type: ElementType  # labels the chunk plan
+    density_types: frozenset[ElementType]  # counted per page to place boundaries
+    method: str  # the Predictor method
+    requests: Callable[[_Run, int, tuple[int, int]], list[tuple[Any, Any]]]
+    payload: Callable[[Any, Any], tuple[Iterable, list[str]]]
+
+
+# In chunk-plan and dispatch order; warnings are reported by name.
+SUBTASKS = (
+    Subtask(
+        "hierarchy", ElementType.TITLE, frozenset({ElementType.TITLE}),
+        "predict_title_hierarchy",
+        _one_per_chunk(lambda run, span: filter_titles(run.doc, pages=span, index=run.index)),
+        lambda key, out: (out.levels.items(), out.flags),
+    ),
+    Subtask(
+        "text", ElementType.TEXT, frozenset({ElementType.TEXT}),
+        "predict_text_truncation",
+        _one_per_chunk(lambda run, span: filter_text_truncation_candidates(
+            run.doc, run.filters, pages=span, index=run.index
+        )),
+        lambda key, out: (out.pairs, out.flags),
+    ),
+    Subtask(
+        "association", ElementType.IMAGE, frozenset(ASSOCIATION_TYPES),
+        "predict_association",
+        _one_per_chunk(lambda run, span: filter_association_candidates(
+            run.doc, pages=span, index=run.index
+        )),
+        lambda key, out: (out.pairs, out.flags + [f"unresolved:{i}" for i in out.unresolved]),
+    ),
+    Subtask(
+        "table", ElementType.TABLE, frozenset({ElementType.TABLE}),
+        "predict_table_truncation",
+        _table_requests,
+        lambda key, out: ([(*key, out.columns)], out.flags),
+    ),
+)
+
+
 def plan_subtasks(doc: CanonicalDocument, cfg: PipelineConfig) -> dict[str, ChunkPlan]:
     """Each subtask's chunk plan, labelled with the subtask's element type."""
+    chunking = ChunkPlanConfig(stride=cfg.stride, threshold=cfg.threshold)
     return {
-        subtask: plan_chunks(
-            _profile_for(doc, subtask),
-            ChunkPlanConfig(
-                stride=cfg.stride, threshold=cfg.threshold, task_type=TASK_TYPES[subtask]
-            ),
-        )
-        for subtask in SUBTASKS
+        task.name: plan_chunks(_page_density(doc, task.density_types), chunking, task.plan_type)
+        for task in SUBTASKS
     }
 
 
 def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report = RunReport(doc_id=doc.doc_id)
     validation = validate_document(doc)
-    report.validation = [
-        {"code": v.code, "idx": v.idx, "message": v.message} for v in validation.violations
-    ]
+    report.validation = [asdict(v) for v in validation.violations]
 
     predictor = make_predictor(cfg)
     plans = plan_subtasks(doc, cfg)
     for subtask, plan in plans.items():
         report.realized_overlaps[subtask] = plan.realized_overlaps()
 
-    # One page index and one parse of each table serve every chunk.
-    index = PageIndex(doc)
-    grids = TableGrids()
+    # One page index and one parse of each table serve every chunk.  Every
+    # request is built up front so remote calls can be issued concurrently;
+    # the rule baseline runs them inline.
+    run = _Run(doc, cfg.filters, PageIndex(doc), report)
+    jobs: dict[tuple[str, Any], tuple[str, Any]] = {}
+    chunk_keys: dict[str, list[tuple[int, list[Any]]]] = {}
+    for task in SUBTASKS:
+        chunk_keys[task.name] = []
+        for chunk, span in enumerate(plans[task.name].chunks):
+            keys = []
+            for key, request in task.requests(run, chunk, span):
+                jobs.setdefault((task.name, key), (task.method, request))
+                keys.append(key)
+            if keys:
+                chunk_keys[task.name].append((chunk, keys))
 
-    # Build every request up front so remote calls can be issued
-    # concurrently; the rule baseline runs them inline.  Title, text and
-    # association requests carry their chunk's context, so they are keyed
-    # by chunk.  A table request does not depend on the chunk, so each
-    # distinct (upper, lower) pair is requested once, keyed by the pair,
-    # and its judgement is replayed into every chunk that saw it.
-    jobs: list[tuple[str, Any, Callable[[], Any]]] = []
+    def predict(job: tuple[str, Any]) -> Any:
+        method, request = job
+        return getattr(predictor, method)(request)
 
-    for chunk_index, span in enumerate(plans["hierarchy"].chunks):
-        titles = filter_titles(doc, pages=span, index=index)
-        if titles.items:
-            jobs.append(
-                ("hierarchy", chunk_index, lambda t=titles: predictor.predict_title_hierarchy(t))
-            )
-    for chunk_index, span in enumerate(plans["text"].chunks):
-        candidates = filter_text_truncation_candidates(doc, cfg.filters, pages=span, index=index)
-        if candidates:
-            jobs.append(
-                ("text", chunk_index, lambda c=candidates: predictor.predict_text_truncation(c))
-            )
-    for chunk_index, span in enumerate(plans["association"].chunks):
-        assoc = filter_association_candidates(doc, pages=span, index=index)
-        if assoc.items:
-            jobs.append(
-                ("association", chunk_index, lambda a=assoc: predictor.predict_association(a))
-            )
-    table_pairs: dict[tuple[int, int], TablePairCandidate] = {}
-    pairs_by_chunk: list[tuple[int, list[tuple[int, int]]]] = []
-    for chunk_index, span in enumerate(plans["table"].chunks):
-        tables = filter_table_truncation_candidates(
-            doc, cfg.filters, pages=span, index=index, grids=grids
-        )
-        for skip in tables.skipped:
-            if skip not in report.skipped_tables:
-                report.skipped_tables.append(skip)
-        keys = []
-        for cand in tables.candidates:
-            key = (cand.upper_idx, cand.lower_idx)
-            if key not in table_pairs:
-                table_pairs[key] = cand
-                jobs.append(("table", key, lambda c=cand: predictor.predict_table_truncation(c)))
-            keys.append(key)
-        if keys:
-            pairs_by_chunk.append((chunk_index, keys))
-
-    results: dict[tuple[str, Any], Any] = {}
     if cfg.predictor_mode == "remote" and cfg.parallelism > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = [(subtask, key, pool.submit(fn)) for subtask, key, fn in jobs]
-            for subtask, key, fut in futures:
-                results[(subtask, key)] = fut.result()
+            results = dict(zip(jobs, pool.map(predict, jobs.values())))
     else:
-        for subtask, key, fn in jobs:
-            results[(subtask, key)] = fn()
+        results = {job_key: predict(job) for job_key, job in jobs.items()}
 
-    def chunk_outputs(subtask: str) -> list[tuple[int, Any]]:
-        return [
-            (k, results[(subtask, k)])
-            for k in range(len(plans[subtask].chunks))
-            if (subtask, k) in results
-        ]
-
-    # Warnings keep the report's order: subtasks by name, then chunk.
-    assoc_preds = []
-    for chunk_index, out in chunk_outputs("association"):
-        report.warnings.extend(f"association[{chunk_index}]:{f}" for f in out.flags)
-        report.warnings.extend(
-            f"association[{chunk_index}]:unresolved:{i}" for i in out.unresolved
-        )
-        assoc_preds.append(ChunkPrediction(chunk_index, out.pairs))
-    hier_preds = []
-    for chunk_index, out in chunk_outputs("hierarchy"):
-        report.warnings.extend(f"hierarchy[{chunk_index}]:{f}" for f in out.flags)
-        hier_preds.append(ChunkPrediction(chunk_index, out.levels))
-    table_preds = []
-    for chunk_index, keys in pairs_by_chunk:
-        payload = []
-        for upper, lower in keys:
-            judgement = results[("table", (upper, lower))]
-            report.warnings.extend(f"table[{chunk_index}]:{f}" for f in judgement.flags)
-            payload.append((upper, lower, judgement.columns))
-        table_preds.append(ChunkPrediction(chunk_index, payload))
-    text_preds = []
-    for chunk_index, out in chunk_outputs("text"):
-        report.warnings.extend(f"text[{chunk_index}]:{f}" for f in out.flags)
-        text_preds.append(ChunkPrediction(chunk_index, out.pairs))
+    chunk_preds: dict[str, list[ChunkPrediction]] = {}
+    for task in sorted(SUBTASKS, key=lambda t: t.name):
+        chunk_preds[task.name] = []
+        for chunk, keys in chunk_keys[task.name]:
+            payload = []
+            for key in keys:
+                items, flags = task.payload(key, results[(task.name, key)])
+                report.warnings.extend(f"{task.name}[{chunk}]:{f}" for f in flags)
+                payload.extend(items)
+            chunk_preds[task.name].append(ChunkPrediction(chunk, payload))
 
     predictions = DocumentPredictions()
-    sync = synchronize_hierarchy(hier_preds)
+    sync = synchronize_hierarchy(chunk_preds["hierarchy"])
     predictions.hierarchy = dict(sorted(sync.levels.items()))
     report.sync = {
         "deviations": sync.deviations,
@@ -401,28 +398,35 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         "conflicts": sync.conflicts,
     }
 
-    text_union = merge_union(text_preds)
+    text_union = merge_union(chunk_preds["text"])
     predictions.text_pairs = text_union.pairs
-    assoc_union = merge_union(assoc_preds, unique_src=True)
+    assoc_union = merge_union(chunk_preds["association"], unique_src=True)
     predictions.assoc_pairs = assoc_union.pairs
     report.union_conflicts = text_union.conflicts + assoc_union.conflicts
 
-    table_union = merge_table_union(table_preds)
+    table_union = merge_table_union(chunk_preds["table"])
     report.union_conflicts.extend(table_union.conflicts)
     predictions.table_judgements = table_union.judgements
 
-    resolved = apply_predictions(doc, predictions, table_pairs, grids)
+    resolved = apply_predictions(doc, predictions, run.table_pairs, run.grids)
     # Nothing below reads the parsed tables; freeing them before the tree is
     # built keeps the run's peak memory where it was before the cache.
-    del grids
+    del run
 
     tree = build_tree(resolved)
     chunk_nodes(tree, cfg.node_chunk_chars)
-    summarize_nodes(tree, make_summarizer(cfg), fallback=ExtractiveSummarizer(
+    extractive = ExtractiveSummarizer(
         max_sentences=cfg.summary_max_sentences,
         cap_chars=cfg.summary_cap_chars,
         rules=cfg.filters.rules,
-    ))
+    )
+    if cfg.summarizer_mode == "extractive":
+        summarizer: Summarizer = extractive
+    else:
+        summarizer = RemoteSummarizer(
+            cfg.summarizer_url or "", timeout=cfg.backend_timeout, cap_chars=cfg.summary_cap_chars
+        )
+    summarize_nodes(tree, summarizer, fallback=extractive)
     report.warnings.extend(tree.flags)
 
     report.counts = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from ..errors import MalformedResponse
+from ..errors import BackendUnavailable, MalformedResponse
 from ..filtering import AssocCandidates, TablePairCandidate, TextPairCandidate, TitleSequence
 from ..model import CAPTION_LINK_TARGET, ElementType, VISUAL_TYPES
 
@@ -144,8 +144,6 @@ class FallbackPredictor(Predictor):
         self.warnings: list[str] = []
 
     def _guard(self, method: str, req, *args):
-        from ..errors import BackendUnavailable
-
         try:
             return getattr(self.primary, method)(req, *args)
         except (BackendUnavailable, MalformedResponse) as exc:

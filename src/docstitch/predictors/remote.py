@@ -13,7 +13,6 @@ to the rule baseline instead of failing the run.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from typing import Callable, Optional
@@ -43,6 +42,31 @@ logger = logging.getLogger(__name__)
 TOKEN_ENV_VAR = "DOCSTITCH_BACKEND_TOKEN"
 
 
+def post_json(
+    session: requests.Session, url: str, body: dict, timeout: float, service: str = "backend"
+) -> object:
+    """POST ``body`` as JSON, with the bearer token from the environment,
+    and decode the JSON reply.
+
+    Raises BackendUnavailable when ``service`` is unreachable or answers
+    other than 200, and MalformedResponse when the reply is not JSON.
+    """
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(TOKEN_ENV_VAR)
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    try:
+        resp = session.post(url, json=body, headers=headers, timeout=timeout)
+    except requests.RequestException as exc:
+        raise BackendUnavailable(f"{service} unreachable: {exc}") from exc
+    if resp.status_code != 200:
+        raise BackendUnavailable(f"{service} returned HTTP {resp.status_code}")
+    try:
+        return resp.json()
+    except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+        raise MalformedResponse(f"response is not JSON: {exc}") from exc
+
+
 class RemotePredictor(Predictor):
     name = "remote"
 
@@ -63,22 +87,7 @@ class RemotePredictor(Predictor):
     # -- transport ------------------------------------------------------
 
     def _post(self, body: dict) -> object:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(TOKEN_ENV_VAR)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        try:
-            resp = self.session.post(
-                self.url, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"backend unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"backend returned HTTP {resp.status_code}")
-        try:
-            return resp.json()
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise MalformedResponse(f"response is not JSON: {exc}") from exc
+        return post_json(self.session, self.url, body, self.timeout)
 
     def _call(self, body: dict, parse: Callable[[object], object]) -> object:
         last: Optional[MalformedResponse] = None

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+import requests
+
 from .apply import ResolvedDocument
-from .errors import BackendUnavailable
+from .errors import BackendUnavailable, MalformedResponse
 from .model import (
     CanonicalElement,
     CoordUnit,
@@ -22,6 +24,7 @@ from .model import (
     FURNITURE_TYPES,
     VISUAL_TYPES,
 )
+from .predictors.remote import post_json
 from .textrules import TextRules
 
 BODY_TEXT_TYPES = (ElementType.TEXT, ElementType.FORMULA, ElementType.OTHER)
@@ -268,24 +271,14 @@ class RemoteSummarizer(Summarizer):
         self.url = url
         self.timeout = timeout
         self.cap_chars = cap_chars
+        self.session = requests.Session()
 
     def summarize(self, node_id: str, title_path: list[str], paragraphs: list[str]) -> str:
-        import requests as _requests
-
+        body = {"node_id": node_id, "title_path": title_path, "paragraphs": paragraphs}
         try:
-            resp = _requests.post(
-                self.url,
-                json={"node_id": node_id, "title_path": title_path, "paragraphs": paragraphs},
-                timeout=self.timeout,
-            )
-        except Exception as exc:
-            raise BackendUnavailable(f"summarizer unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"summarizer returned HTTP {resp.status_code}")
-        try:
-            data = resp.json()
-        except ValueError as exc:  # requests' JSONDecodeError is a ValueError
-            raise BackendUnavailable(f"summarizer response is not JSON: {exc}") from exc
+            data = post_json(self.session, self.url, body, self.timeout, service="summarizer")
+        except MalformedResponse as exc:
+            raise BackendUnavailable(f"summarizer {exc.message}") from exc
         if not isinstance(data, dict) or "summary" not in data:
             raise BackendUnavailable("summarizer response missing 'summary'")
         return str(data["summary"])[: self.cap_chars]

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from docstitch.cli import main
 
-from .conftest import CORPUS_DIR, GOLD_DIR, GOLDEN_DIR
+from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
 
 RAW = Path(__file__).parent / "fixtures" / "raw"
 
@@ -87,6 +88,38 @@ def test_process_rejects_unknown_config_keys(tmp_path, capsys):
         "--config", str(cfg), "--out-dir", str(tmp_path),
     )
     assert code == 2
+
+
+def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
+    for raw in ({"chunking": {"stride": "eight"}}, {"filters": {"width_band": 5}}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = run_cli(
+            "process", str(CORPUS_DIR / "memo_single.json"),
+            "--config", str(cfg), "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "cli.ConfigError"
+
+
+def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
+    element = {"idx": 0, "content": "x", "page": 0, "bbox": [0, 0, 1, 1]}
+    typed = {**element, "type": "table"}
+    for bad in (
+        element,
+        {**typed, "type": "bogus"},
+        {**typed, "page": "p"},
+        {**typed, "content": 7},
+        {**typed, "table_html": 5},
+    ):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"doc_id": "d", "page_count": 1, "elements": [bad]}))
+        code = run_cli("process", str(doc), "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "ingest.MalformedInput"
+        assert err["error"]["message"].startswith("element #0 ")
 
 
 def test_process_remote_unreachable_degrades_to_rules(tmp_path):
@@ -242,3 +275,15 @@ def test_env_var_supplies_backend_url(tmp_path, monkeypatch, capsys):
         "--predictor", "remote", "--out-dir", str(tmp_path),
     )
     assert code == 0
+
+
+def test_process_artifacts_match_pinned_digests(tmp_path):
+    pinned = json.loads((GOLDEN_DIR / "artifact_digests.json").read_text())
+    assert sorted(pinned) == CORPUS_IDS
+    for doc_id, digests in pinned.items():
+        assert run_cli(
+            "process", str(CORPUS_DIR / f"{doc_id}.json"), "--out-dir", str(tmp_path)
+        ) == 0
+        for suffix, digest in digests.items():
+            got = hashlib.sha256((tmp_path / f"{doc_id}.{suffix}").read_bytes()).hexdigest()
+            assert got == digest, f"{doc_id}.{suffix}"

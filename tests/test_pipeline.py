@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,18 @@ def test_remote_summarizer_non_json_body_falls_back():
     )
 
 
+def test_remote_summarizer_sends_bearer_token(monkeypatch):
+    monkeypatch.setenv("DOCSTITCH_BACKEND_TOKEN", "sekrit")
+    doc = stack_elements("s", [("title", "T", 0), ("text", "Body here.", 0)])
+    with MockBackend({"summarize": {"summary": "backend summary"}}) as backend:
+        cfg = PipelineConfig(summarizer_mode="remote", summarizer_url=backend.url)
+        result = run_pipeline(doc, cfg)
+        assert backend.requests
+        for request in backend.requests:
+            assert request["headers"].get("Authorization") == "Bearer sekrit"
+    assert result.tree.node("sec0").summary == "backend summary"
+
+
 def test_parallel_remote_calls_keyed_so_order_never_matters():
     doc = load_corpus_doc("field_manual")
     scripts = {
@@ -158,6 +171,32 @@ def test_parallel_remote_calls_keyed_so_order_never_matters():
             result = run_pipeline(doc, cfg)
             outputs.append(json.dumps(result.predictions.to_dict()))
     assert outputs[0] == outputs[1]
+
+
+def test_warnings_are_ordered_by_subtask_then_chunk():
+    tasks = ("title_hierarchy", "text_truncation", "association", "table_truncation")
+    warnings = {}
+    for doc_id in ("audit_report", "figures_focus"):
+        with MockBackend({task: "garbage" for task in tasks}) as backend:
+            cfg = PipelineConfig(
+                predictor_mode="remote", backend_url=backend.url, stride=2, threshold=0
+            )
+            warnings[doc_id] = run_pipeline(load_corpus_doc(doc_id), cfg).report.warnings
+        tagged = [re.match(r"(\w+)\[(\d+)\]:", w) for w in warnings[doc_id]]
+        keys = [(m[1], int(m[2])) for m in tagged if m]
+        assert keys == sorted(keys)
+    assert {w.split("[")[0] for w in warnings["audit_report"]} == {
+        "association", "hierarchy", "table", "text",
+    }
+    # One table pair, predicted once, replayed into both chunks that saw it.
+    assert [w for w in warnings["audit_report"] if w.startswith("table")] == [
+        "table[0]:repeated_header", "table[0]:degraded:remote->rules",
+        "table[1]:repeated_header", "table[1]:degraded:remote->rules",
+    ]
+    # An association chunk's flags come before its unresolved entries.
+    assert warnings["figures_focus"][:2] == [
+        "association[0]:degraded:remote->rules", "association[0]:unresolved:0",
+    ]
 
 
 def test_config_file_round_trip_of_every_knob():
@@ -205,6 +244,31 @@ def test_config_rejects_bad_modes_and_ranges():
         PipelineConfig(node_chunk_chars=0)
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"predictor": {"mode": "rules", "surprise": 1}})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"chunking": {"stride": "eight"}},
+        {"filters": {"width_band": 5}},
+        {"filters": {"width_band": [0.9]}},
+        {"filters": {"terminators": "."}},
+        {"filters": {"prefix_patterns": ["("]}},
+        {"predictor": {"timeout_s": "soon"}},
+        {"export": {"formats": "json"}},
+        {"profile": 7},
+        {"jobs": [2]},
+    ],
+)
+def test_config_rejects_wrong_typed_values(raw):
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict(raw)
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    assert PipelineConfig.from_dict({}) == PipelineConfig()
+    assert PipelineConfig.from_dict({"chunking": {}, "filters": {}}) == PipelineConfig()
+    assert PipelineConfig.from_dict({"predictor": {"backend_url": None}}) == PipelineConfig()
 
 
 def test_run_report_is_json_serializable_and_counts_consistent(corpus):

@@ -14,17 +14,24 @@ Writes:
     tests/fixtures/golden/<doc>.tree.json   pinned tree artifacts (rules mode)
     tests/fixtures/golden/<doc>.md          pinned markdown artifacts
     tests/fixtures/golden/eval_scores.json  pinned rule-baseline scores
+    tests/fixtures/golden/artifact_digests.json  sha256 of every other
+                                            ``process`` artifact per document
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from docstitch.cli import main as cli_main  # noqa: E402
 from docstitch.evaluation import GoldAnnotations, evaluate  # noqa: E402
 from docstitch.exporters import export_json, export_markdown  # noqa: E402
 from docstitch.model import (  # noqa: E402
@@ -39,6 +46,8 @@ from docstitch.pipeline import PipelineConfig, run_pipeline  # noqa: E402
 CORPUS = ROOT / "tests" / "fixtures" / "corpus"
 GOLD = ROOT / "tests" / "fixtures" / "gold"
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
+# The process artifacts pinned by digest; tree.json and .md are pinned whole.
+DIGESTED_ARTIFACTS = ("chunks.json", "predictions.json", "report.json", "merge_log.json")
 
 
 def build(doc_id: str, specs, page_count=None) -> CanonicalDocument:
@@ -578,6 +587,19 @@ BUILDERS = [
 ]
 
 
+def artifact_digests(doc_path: Path) -> dict[str, str]:
+    """sha256 of each digested artifact ``docstitch process`` writes for a document."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["process", str(doc_path), "--out-dir", out])
+        if code != 0:
+            raise SystemExit(f"{doc_path.stem}: process failed")
+        return {
+            suffix: hashlib.sha256((Path(out) / f"{doc_path.stem}.{suffix}").read_bytes()).hexdigest()
+            for suffix in DIGESTED_ARTIFACTS
+        }
+
+
 def main() -> None:
     CORPUS.mkdir(parents=True, exist_ok=True)
     GOLD.mkdir(parents=True, exist_ok=True)
@@ -585,6 +607,7 @@ def main() -> None:
 
     cfg = PipelineConfig()
     scores = {}
+    digests = {}
     for builder in BUILDERS:
         doc, gold = builder()
         report = validate_document(doc)
@@ -622,10 +645,14 @@ def main() -> None:
             else None,
         )
         scores[doc.doc_id] = eval_report.to_dict()
+        digests[doc.doc_id] = artifact_digests(CORPUS / f"{doc.doc_id}.json")
         print(f"{doc.doc_id}: ok ({len(doc.elements)} elements)")
 
     (GOLDEN / "eval_scores.json").write_text(
         json.dumps(scores, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+    )
+    (GOLDEN / "artifact_digests.json").write_text(
+        json.dumps(dict(sorted(digests.items())), indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {len(BUILDERS)} corpus documents + goldens")
 
