@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
@@ -19,18 +20,36 @@ from .errors import ConfigError, ConfigNotFound, DocstitchError, SchemaMismatch
 from .evaluation import GoldAnnotations, evaluate
 from .exporters import export_json, export_markdown, tree_from_json
 from .ingest import normalize_elements
+from .jsonio import dumps_pretty
 from .model import CanonicalDocument, validate_document
 from .pipeline import PipelineConfig, plan_subtasks, run_pipeline
 
 BACKEND_URL_ENV_VAR = "DOCSTITCH_BACKEND_URL"
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``: a write that fails leaves the previous file whole and no
+    temporary file behind.  (No fsync: this guards against a failed run,
+    not against power loss.)"""
+    # Not tempfile.mkstemp: its 0600 mode would change the artifact's
+    # permissions.  The name is unique per process and thread.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _dump(obj: dict, path: Optional[Path] = None) -> None:
-    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    text = dumps_pretty(obj) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        path.write_text(text, encoding="utf-8")
+        _write_text(path, text)
 
 
 def _read_json(path: Path) -> object:
@@ -87,7 +106,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     raw = _read_json(Path(args.input))
     result = normalize_elements(raw, args.profile, doc_id=Path(args.input).stem)  # type: ignore[arg-type]
     if args.out:
-        Path(args.out).write_text(result.document.to_json(), encoding="utf-8")
+        _write_text(Path(args.out), result.document.to_json())
     else:
         sys.stdout.write(result.document.to_json())
     if args.report:
@@ -106,9 +125,9 @@ def _process_one(path: Path, cfg: PipelineConfig, out_dir: Path) -> dict:
     stem = doc.doc_id
 
     if "json" in cfg.export_formats:
-        (out_dir / f"{stem}.tree.json").write_text(export_json(result.tree), encoding="utf-8")
+        _write_text(out_dir / f"{stem}.tree.json", export_json(result.tree))
     if "markdown" in cfg.export_formats:
-        (out_dir / f"{stem}.md").write_text(export_markdown(result.tree), encoding="utf-8")
+        _write_text(out_dir / f"{stem}.md", export_markdown(result.tree))
     _dump(result.resolved.merge_log.to_dict(), out_dir / f"{stem}.merge_log.json")
     _dump(
         {name: plan.to_dict() for name, plan in result.chunk_plans.items()},
@@ -184,7 +203,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     tree = tree_from_json(path.read_text(encoding="utf-8"))
     text = export_markdown(tree) if args.format == "markdown" else export_json(tree)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return 0

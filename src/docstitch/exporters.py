@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .jsonio import dumps_pretty
 from .model import CanonicalElement, CoordUnit, ElementType
 from .tree import DocNode, DocTree, NodeKind
 
@@ -18,16 +19,18 @@ FORMAT_VERSION = 1
 
 
 def _node_to_dict(node: DocNode) -> dict:
+    # Only encoded, never kept, so it shares the node's lists instead of
+    # copying them; the (page, box) tuples encode as arrays.
     return {
         "node_id": node.node_id,
         "kind": node.kind,
         "title": node.title_text,
         "level": node.level,
         "anchor": node.anchor,
-        "title_path": list(node.title_path),
+        "title_path": node.title_path,
         "summary": node.summary,
         "body": [e.to_dict() for e in node.body],
-        "bboxes": [[page, list(box)] for page, box in node.bboxes],
+        "bboxes": node.bboxes,
         "children": [_node_to_dict(c) for c in node.children],
     }
 
@@ -39,7 +42,7 @@ def export_json(tree: DocTree) -> str:
         "coord_unit": tree.coord_unit.value,
         "root": _node_to_dict(tree.root),
     }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return dumps_pretty(doc) + "\n"
 
 
 def _node_from_dict(d: dict) -> DocNode:

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import MalformedInput
+from .jsonio import dumps_pretty
 
 
 class ElementType(str, Enum):
@@ -146,7 +147,7 @@ class CanonicalDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
+        return dumps_pretty(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> CanonicalDocument:

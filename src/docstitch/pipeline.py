@@ -132,6 +132,13 @@ class PipelineConfig:
         return cls(filters=FilterConfig(rules=rules, **given["filters"]), **given[""])
 
 
+def _int(value: Any) -> int:
+    # int() would turn 2.5 into 2 and "1" into 1; a bool is an int to Python.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _str(value: Any) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -155,25 +162,25 @@ def _band(value: Any) -> tuple[float, float]:
 # which malformed sections are reported.
 CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] = {
     (None, "profile"): ("profile", _str),
-    (None, "jobs"): ("jobs", int),
-    ("chunking", "stride"): ("stride", int),
-    ("chunking", "threshold"): ("threshold", int),
+    (None, "jobs"): ("jobs", _int),
+    ("chunking", "stride"): ("stride", _int),
+    ("chunking", "threshold"): ("threshold", _int),
     ("predictor", "mode"): ("predictor_mode", _str),
     ("predictor", "backend_url"): ("backend_url", _str),
     ("predictor", "timeout_s"): ("backend_timeout", float),
-    ("predictor", "parallelism"): ("parallelism", int),
-    ("tree", "node_chunk_chars"): ("node_chunk_chars", int),
+    ("predictor", "parallelism"): ("parallelism", _int),
+    ("tree", "node_chunk_chars"): ("node_chunk_chars", _int),
     ("tree", "summarizer"): ("summarizer_mode", _str),
     ("tree", "summarizer_url"): ("summarizer_url", _str),
-    ("tree", "summary_cap_chars"): ("summary_cap_chars", int),
-    ("tree", "summary_max_sentences"): ("summary_max_sentences", int),
+    ("tree", "summary_cap_chars"): ("summary_cap_chars", _int),
+    ("tree", "summary_max_sentences"): ("summary_max_sentences", _int),
     ("export", "formats"): ("export_formats", _strings),
     ("filters", "terminators"): ("rules.terminators", lambda v: frozenset(_strings(v))),
     ("filters", "prefix_patterns"): ("rules.prefix_patterns", _strings),
-    ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", int),
+    ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", _int),
     ("filters", "width_band"): ("filters.width_band", _band),
     ("filters", "continuation_markers"): ("filters.continuation_markers", _strings),
-    ("filters", "row_window"): ("filters.row_window", int),
+    ("filters", "row_window"): ("filters.row_window", _int),
 }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from typing import Callable, Optional
 
 import requests
@@ -75,16 +76,25 @@ class RemotePredictor(Predictor):
         url: str,
         timeout: float = 30.0,
         retries: int = 1,
-        session: Optional[requests.Session] = None,
         page_image_provider: Optional[Callable[[list[int]], list[str]]] = None,
     ):
         self.url = url
         self.timeout = timeout
         self.retries = retries
-        self.session = session or requests.Session()
         self.page_image_provider = page_image_provider
+        self._local = threading.local()
 
     # -- transport ------------------------------------------------------
+
+    @property
+    def session(self) -> requests.Session:
+        """The calling thread's session.  A ``requests.Session`` is not
+        thread-safe, and the pipeline's dispatch threads post concurrently,
+        so each thread gets its own (and its own connection pool)."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _post(self, body: dict) -> object:
         return post_json(self.session, self.url, body, self.timeout)

@@ -4,6 +4,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+import docstitch.cli
 from docstitch.cli import main
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
@@ -51,6 +54,18 @@ def test_process_reproduces_pinned_goldens(tmp_path):
         assert (tmp_path / f"field_manual.{suffix}").exists()
 
 
+def test_failed_artifact_write_keeps_previous_files(tmp_path, monkeypatch):
+    args = ("process", str(CORPUS_DIR / "field_manual.json"), "--out-dir", str(tmp_path))
+    assert run_cli(*args) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # A lone surrogate cannot be encoded as UTF-8, so writing the Markdown
+    # artifact fails after its file was opened.
+    monkeypatch.setattr(docstitch.cli, "export_markdown", lambda tree: "# partial\n\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        run_cli(*args)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_process_accepts_raw_input_with_profile(tmp_path):
     code = run_cli(
         "process", str(RAW / "mineru_blocks.json"),
@@ -91,7 +106,11 @@ def test_process_rejects_unknown_config_keys(tmp_path, capsys):
 
 
 def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
-    for raw in ({"chunking": {"stride": "eight"}}, {"filters": {"width_band": 5}}):
+    for raw in (
+        {"chunking": {"stride": "eight"}},
+        {"filters": {"width_band": 5}},
+        {"chunking": {"stride": 2.5, "threshold": "1"}},
+    ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         code = run_cli(

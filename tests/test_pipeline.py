@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+import time
 
 import pytest
 
 import docstitch.apply
 import docstitch.pipeline
+import docstitch.predictors.remote
 import docstitch.predictors.rules
 import docstitch.tables
 from docstitch.errors import ConfigError
@@ -173,6 +176,37 @@ def test_parallel_remote_calls_keyed_so_order_never_matters():
     assert outputs[0] == outputs[1]
 
 
+def test_each_dispatch_thread_posts_through_its_own_session(monkeypatch, field_manual):
+    posts = []  # (thread id, session) per POST
+    post_json = docstitch.predictors.remote.post_json
+
+    def recording_post_json(session, *args, **kwargs):
+        posts.append((threading.get_ident(), session))
+        return post_json(session, *args, **kwargs)
+
+    def slow_garbage(body):
+        time.sleep(0.005)  # keeps every worker busy, so all of them post
+        return "garbage"
+
+    monkeypatch.setattr(docstitch.predictors.remote, "post_json", recording_post_json)
+    scripts = dict.fromkeys(
+        ("title_hierarchy", "text_truncation", "association", "table_truncation"), slow_garbage
+    )
+    with MockBackend(scripts) as backend:
+        cfg = PipelineConfig(
+            predictor_mode="remote", backend_url=backend.url, backend_timeout=5.0, parallelism=4
+        )
+        run_pipeline(field_manual, cfg)
+    sessions_by_thread: dict[int, set[int]] = {}
+    for thread, session in posts:
+        sessions_by_thread.setdefault(thread, set()).add(id(session))
+    assert threading.get_ident() not in sessions_by_thread
+    assert len(sessions_by_thread) >= 2
+    assert all(len(ids) == 1 for ids in sessions_by_thread.values())
+    distinct = set().union(*sessions_by_thread.values())
+    assert len(distinct) == len(sessions_by_thread)
+
+
 def test_warnings_are_ordered_by_subtask_then_chunk():
     tasks = ("title_hierarchy", "text_truncation", "association", "table_truncation")
     warnings = {}
@@ -258,6 +292,12 @@ def test_config_rejects_bad_modes_and_ranges():
         {"export": {"formats": "json"}},
         {"profile": 7},
         {"jobs": [2]},
+        {"jobs": True},
+        {"chunking": {"stride": 2.5}},
+        {"chunking": {"threshold": "1"}},
+        {"chunking": {"stride": 8.0}},
+        {"tree": {"summary_cap_chars": "300"}},
+        {"filters": {"row_window": False}},
     ],
 )
 def test_config_rejects_wrong_typed_values(raw):

@@ -8,6 +8,12 @@ rule change, then re-review the diffs before committing:
 
     python3 tools/make_corpus.py
 
+With ``--check`` it regenerates everything into a temporary directory
+instead, compares it byte for byte with ``tests/fixtures/`` and exits 1
+naming each file that differs, is missing or is extra:
+
+    python3 tools/make_corpus.py --check
+
 Writes:
     tests/fixtures/corpus/<doc>.json        canonical documents
     tests/fixtures/gold/<doc>.gold.json     gold annotations
@@ -20,6 +26,7 @@ Writes:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -43,9 +50,9 @@ from docstitch.model import (  # noqa: E402
 )
 from docstitch.pipeline import PipelineConfig, run_pipeline  # noqa: E402
 
-CORPUS = ROOT / "tests" / "fixtures" / "corpus"
-GOLD = ROOT / "tests" / "fixtures" / "gold"
-GOLDEN = ROOT / "tests" / "fixtures" / "golden"
+FIXTURES = ROOT / "tests" / "fixtures"
+# The fixture directories this script writes, every file in them.
+GENERATED_DIRS = ("corpus", "gold", "golden")
 # The process artifacts pinned by digest; tree.json and .md are pinned whole.
 DIGESTED_ARTIFACTS = ("chunks.json", "predictions.json", "report.json", "merge_log.json")
 
@@ -600,10 +607,11 @@ def artifact_digests(doc_path: Path) -> dict[str, str]:
         }
 
 
-def main() -> None:
-    CORPUS.mkdir(parents=True, exist_ok=True)
-    GOLD.mkdir(parents=True, exist_ok=True)
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+def generate(fixtures: Path) -> None:
+    """Write the corpus, gold files and goldens under ``fixtures``."""
+    corpus_dir, gold_dir, golden_dir = (fixtures / name for name in GENERATED_DIRS)
+    for directory in (corpus_dir, gold_dir, golden_dir):
+        directory.mkdir(parents=True, exist_ok=True)
 
     cfg = PipelineConfig()
     scores = {}
@@ -613,16 +621,16 @@ def main() -> None:
         report = validate_document(doc)
         if not report.ok:
             raise SystemExit(f"{doc.doc_id}: fixture fails validation: {report.codes()}")
-        (CORPUS / f"{doc.doc_id}.json").write_text(doc.to_json(), encoding="utf-8")
-        (GOLD / f"{doc.doc_id}.gold.json").write_text(
+        (corpus_dir / f"{doc.doc_id}.json").write_text(doc.to_json(), encoding="utf-8")
+        (gold_dir / f"{doc.doc_id}.gold.json").write_text(
             json.dumps(gold, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
         )
 
         result = run_pipeline(doc, cfg)
-        (GOLDEN / f"{doc.doc_id}.tree.json").write_text(
+        (golden_dir / f"{doc.doc_id}.tree.json").write_text(
             export_json(result.tree), encoding="utf-8"
         )
-        (GOLDEN / f"{doc.doc_id}.md").write_text(
+        (golden_dir / f"{doc.doc_id}.md").write_text(
             export_markdown(result.tree), encoding="utf-8"
         )
 
@@ -645,17 +653,59 @@ def main() -> None:
             else None,
         )
         scores[doc.doc_id] = eval_report.to_dict()
-        digests[doc.doc_id] = artifact_digests(CORPUS / f"{doc.doc_id}.json")
+        digests[doc.doc_id] = artifact_digests(corpus_dir / f"{doc.doc_id}.json")
         print(f"{doc.doc_id}: ok ({len(doc.elements)} elements)")
 
-    (GOLDEN / "eval_scores.json").write_text(
+    (golden_dir / "eval_scores.json").write_text(
         json.dumps(scores, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
-    (GOLDEN / "artifact_digests.json").write_text(
+    (golden_dir / "artifact_digests.json").write_text(
         json.dumps(dict(sorted(digests.items())), indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {len(BUILDERS)} corpus documents + goldens")
 
 
+def _files(fixtures: Path) -> dict[str, Path]:
+    return {
+        str(path.relative_to(fixtures)): path
+        for name in GENERATED_DIRS
+        for path in sorted((fixtures / name).glob("*"))
+        if path.is_file()
+    }
+
+
+def check() -> int:
+    """Regenerate into a temporary directory; 1 if any fixture differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            generate(Path(tmp))
+        fresh, pinned = _files(Path(tmp)), _files(FIXTURES)
+        problems = [f"missing from tests/fixtures: {n}" for n in sorted(set(fresh) - set(pinned))]
+        problems += [f"not generated: tests/fixtures/{n}" for n in sorted(set(pinned) - set(fresh))]
+        problems += [
+            f"differs: tests/fixtures/{n}"
+            for n in sorted(set(fresh) & set(pinned))
+            if fresh[n].read_bytes() != pinned[n].read_bytes()
+        ]
+    for line in problems:
+        print(line)
+    if problems:
+        return 1
+    print(f"no difference: {len(fresh)} files under tests/fixtures/{{{','.join(GENERATED_DIRS)}}}")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare a fresh regeneration with tests/fixtures/ instead of writing it",
+    )
+    if parser.parse_args().check:
+        return check()
+    generate(FIXTURES)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
