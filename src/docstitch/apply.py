@@ -20,13 +20,7 @@ from .model import (
     CoordUnit,
     ElementType,
 )
-from .filtering import TablePairCandidate
-from .predictors import (
-    CellMergeJudgement,
-    HierarchyPrediction,
-    PairPrediction,
-    association_link_valid,
-)
+from .predictors import association_link_valid
 from .tables import TableGrids, merge_grids, parse_table
 from .textrules import join_fragments
 
@@ -113,7 +107,7 @@ class ResolvedDocument:
         self.elements = [by_idx[e.idx] for e in self.elements if e.idx in by_idx]
 
 
-def merge_text(resolved: ResolvedDocument, pairs: PairPrediction) -> ResolvedDocument:
+def merge_text(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> ResolvedDocument:
     """Collapse predicted truncation pairs; chains fuse transitively.
 
     Pairs that are not adjacent text pairs in the current document are
@@ -125,7 +119,7 @@ def merge_text(resolved: ResolvedDocument, pairs: PairPrediction) -> ResolvedDoc
 
     succ: dict[int, int] = {}
     targets: set[int] = set()
-    for src, tgt in sorted(pairs.pairs):
+    for src, tgt in sorted(pairs):
         src_el, tgt_el = by_idx.get(src), by_idx.get(tgt)
         if (
             src_el is None
@@ -168,12 +162,14 @@ def merge_text(resolved: ResolvedDocument, pairs: PairPrediction) -> ResolvedDoc
 
 def merge_tables(
     resolved: ResolvedDocument,
-    candidate: TablePairCandidate,
-    judgement: CellMergeJudgement,
+    upper_idx: int,
+    lower_idx: int,
+    columns: list[int],
     by_idx: Optional[dict[int, CanonicalElement]] = None,
     grids: Optional[TableGrids] = None,
 ) -> ResolvedDocument:
-    """Fuse a cross-page table pair per its column judgement vector.
+    """Fuse the table pair (upper_idx, lower_idx) per its column judgement
+    vector ``columns``; an empty vector means the pair is not one table.
 
     Raises ColumnMismatch / TableHtmlUnparseable; callers decide whether to
     skip and flag (the pipeline does).  A caller merging many pairs passes
@@ -181,21 +177,19 @@ def merge_tables(
     that map, and the caller calls ``resolved.rebuild(by_idx)`` once at the
     end.  ``grids`` reuses tables already parsed by the table filter.
     """
-    if not judgement.is_continuation:
+    if not columns:
         return resolved
     batched = by_idx is not None
     by_idx = by_idx if batched else resolved.index()
     grids = grids or TableGrids()
-    upper = by_idx.get(candidate.upper_idx)
-    lower = by_idx.get(candidate.lower_idx)
+    upper = by_idx.get(upper_idx)
+    lower = by_idx.get(lower_idx)
     if upper is None or lower is None:
-        raise ColumnMismatch(
-            f"table pair ({candidate.upper_idx}, {candidate.lower_idx}) not in document"
-        )
+        raise ColumnMismatch(f"table pair ({upper_idx}, {lower_idx}) not in document")
     if upper.etype is not ElementType.TABLE or lower.etype is not ElementType.TABLE:
         raise ColumnMismatch("merge_tables endpoints must both be tables")
 
-    outcome = merge_grids(grids.grid(upper), grids.grid(lower), judgement.columns, join_fragments)
+    outcome = merge_grids(grids.grid(upper), grids.grid(lower), columns, join_fragments)
 
     merged = replace(upper, table_html=outcome.grid.to_html())
     record = MergeRecord(
@@ -203,7 +197,7 @@ def merge_tables(
         src_idx=upper.idx,
         absorbed=[lower.idx],
         fragments=[_fragment(upper), _fragment(lower)],
-        judgement=list(judgement.columns),
+        judgement=list(columns),
         fused=outcome.fused,
         dropped_header=outcome.dropped_header,
     )
@@ -216,8 +210,8 @@ def merge_tables(
     return resolved
 
 
-def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> ResolvedDocument:
-    """Store title levels; -1 demotes the element to text.
+def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> ResolvedDocument:
+    """Store title levels (by title idx); -1 demotes the element to text.
 
     Titles the prediction missed inherit the previous title's level (1 at
     the front) and are flagged; predicted idx that are not titles are
@@ -226,16 +220,16 @@ def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> Reso
     title_idx = [e.idx for e in resolved.elements if e.etype is ElementType.TITLE]
     title_set = set(title_idx)
 
-    for idx in sorted(pred.levels):
+    for idx in sorted(levels):
         if idx not in title_set:
             resolved.flags.append(f"UnknownIdx:{idx}")
 
-    levels: dict[int, int] = {}
+    stored: dict[int, int] = {}
     demote: set[int] = set()
     prev_level = 1
     for idx in title_idx:
-        if idx in pred.levels:
-            level = pred.levels[idx]
+        if idx in levels:
+            level = levels[idx]
         else:
             resolved.flags.append(f"UnknownTitle:{idx}")
             level = prev_level
@@ -246,7 +240,7 @@ def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> Reso
             demote.add(idx)
             resolved.demoted.append(idx)
             continue
-        levels[idx] = level
+        stored[idx] = level
         prev_level = level
 
     if demote:
@@ -254,14 +248,14 @@ def assign_levels(resolved: ResolvedDocument, pred: HierarchyPrediction) -> Reso
             e.with_type(ElementType.TEXT) if e.idx in demote else e
             for e in resolved.elements
         ]
-    resolved.levels = levels
+    resolved.levels = stored
     return resolved
 
 
-def attach_links(resolved: ResolvedDocument, assoc: PairPrediction) -> ResolvedDocument:
+def attach_links(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> ResolvedDocument:
     """Populate caption->visual and visual->title maps, remapping merged idx."""
     by_idx = resolved.index()
-    for src, tgt in assoc.pairs:
+    for src, tgt in pairs:
         src = resolved.merge_log.resolve(src)
         tgt = resolved.merge_log.resolve(tgt)
         src_el, tgt_el = by_idx.get(src), by_idx.get(tgt)
@@ -280,8 +274,6 @@ def attach_links(resolved: ResolvedDocument, assoc: PairPrediction) -> ResolvedD
                 resolved.flags.append(f"LinkConflict:{src}->{tgt} (kept {links[src]})")
             continue
         links[src] = tgt
-    for idx in assoc.unresolved:
-        resolved.flags.append(f"Unresolved:{idx}")
     return resolved
 
 

@@ -20,7 +20,7 @@ from .model import (
     FURNITURE_TYPES,
     PageIndex,
 )
-from .tables import TableGrids
+from .tables import TableGrid, TableGrids
 from .textrules import TextRules
 
 ASSOCIATION_TYPES = (
@@ -53,42 +53,6 @@ class FilterConfig:
     row_window: int = 3
 
 
-@dataclass(frozen=True)
-class TitleItem:
-    idx: int
-    content: str
-    page: int
-    bbox: BBox
-
-
-@dataclass
-class TitleSequence:
-    items: list[TitleItem]
-
-    def idx_set(self) -> set[int]:
-        return {t.idx for t in self.items}
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-@dataclass(frozen=True)
-class AssocItem:
-    idx: int
-    etype: ElementType
-    content: str
-    page: int
-    bbox: BBox
-
-
-@dataclass
-class AssocCandidates:
-    items: list[AssocItem]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 class BoundaryKind:
     PAGE_BREAK = "page_break"
     COLUMN_BREAK = "column_break"
@@ -115,10 +79,9 @@ class TablePairCandidate:
     lower_idx: int
     upper_caption: Optional[str]
     lower_caption: Optional[str]
-    upper_rows: str
-    lower_rows: str
+    upper_rows: TableGrid  # the upper table's last rows
+    lower_rows: TableGrid  # the lower table's first rows
     width_ratio: float
-    col_counts: tuple[int, int]
 
 
 @dataclass
@@ -144,27 +107,17 @@ def filter_titles(
     doc: CanonicalDocument,
     pages: Optional[tuple[int, int]] = None,
     index: Optional[PageIndex] = None,
-) -> TitleSequence:
-    items = [
-        TitleItem(e.idx, e.content, e.page, e.bbox)
-        for e in _scoped(doc, pages, index)
-        if e.etype is ElementType.TITLE
-    ]
-    return TitleSequence(items)
+) -> list[CanonicalElement]:
+    return [e for e in _scoped(doc, pages, index) if e.etype is ElementType.TITLE]
 
 
 def filter_association_candidates(
     doc: CanonicalDocument,
     pages: Optional[tuple[int, int]] = None,
     index: Optional[PageIndex] = None,
-) -> AssocCandidates:
+) -> list[CanonicalElement]:
     wanted = set(ASSOCIATION_TYPES)
-    items = [
-        AssocItem(e.idx, e.etype, e.content, e.page, e.bbox)
-        for e in _scoped(doc, pages, index)
-        if e.etype in wanted
-    ]
-    return AssocCandidates(items)
+    return [e for e in _scoped(doc, pages, index) if e.etype in wanted]
 
 
 def _boundary_kind(
@@ -302,9 +255,8 @@ def filter_table_truncation_candidates(
             )
             continue
 
-        cols = (upper_grid.n_cols, lower_grid.n_cols)
         lower_caption = _nearest_caption(lower, by_page[nxt])
-        if cols[0] != cols[1] and not has_continuation_marker(
+        if upper_grid.n_cols != lower_grid.n_cols and not has_continuation_marker(
             lower_caption, cfg.continuation_markers
         ):
             continue
@@ -315,10 +267,9 @@ def filter_table_truncation_candidates(
                 lower_idx=lower.idx,
                 upper_caption=_nearest_caption(upper, by_page[page]),
                 lower_caption=lower_caption,
-                upper_rows=upper_grid.row_window_html(cfg.row_window, tail=True),
-                lower_rows=lower_grid.row_window_html(cfg.row_window, tail=False),
+                upper_rows=upper_grid.row_window(cfg.row_window, tail=True),
+                lower_rows=lower_grid.row_window(cfg.row_window, tail=False),
                 width_ratio=width_ratio,
-                col_counts=cols,
             )
         )
     return result

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from .errors import BBoxInvalid, MalformedInput, SchemaUnknown
 from .model import (
@@ -42,6 +42,7 @@ from .model import (
     CoordUnit,
     ElementType,
     bbox_is_valid,
+    check_strings,
 )
 
 _REQUIRED_FIELDS = ("type", "page", "bbox")
@@ -147,6 +148,13 @@ def _as_block_list(raw_doc: Union[dict, list]) -> tuple[list[dict], dict]:
     raise MalformedInput(f"raw document must be a JSON array or object, got {type(raw_doc).__name__}")
 
 
+def _check_block_strings(pos: int, *values: Optional[str]) -> None:
+    try:
+        check_strings(*values)
+    except ValueError as exc:
+        raise MalformedInput(f"block #{pos} has a bad field: {exc}") from exc
+
+
 def normalize_elements(
     raw_doc: Union[dict, list],
     schema: Union[str, Profile],
@@ -171,6 +179,7 @@ def normalize_elements(
         if raw_label is None:
             raise MalformedInput(f"block #{pos} is missing its type field")
         raw_label = str(raw_label)
+        _check_block_strings(pos, raw_label)
         if raw_label in profile.drop_labels:
             report.dropped.append({"position": pos, "label": raw_label})
             continue
@@ -194,11 +203,14 @@ def normalize_elements(
         content = profile.pick(block, "content")
         content = "" if content is None else str(content)
         table_html = profile.pick(block, "table_html")
-        asset_ref = profile.pick(block, "asset_ref")
         if etype is ElementType.TABLE:
             table_html = "" if table_html is None else str(table_html)
         else:
             table_html = None
+        asset_ref = profile.pick(block, "asset_ref")
+        asset_ref = None if asset_ref is None else str(asset_ref)
+        # Only strings that reach an artifact: a dropped block keeps its label.
+        _check_block_strings(pos, content, table_html, asset_ref)
 
         elements.append(
             CanonicalElement(
@@ -208,7 +220,7 @@ def normalize_elements(
                 page=int(page),
                 bbox=bbox,  # type: ignore[arg-type]
                 table_html=table_html,
-                asset_ref=str(asset_ref) if asset_ref is not None else None,
+                asset_ref=asset_ref,
             )
         )
         idx += 1
@@ -218,8 +230,13 @@ def normalize_elements(
     if page_count is None:
         page_count = max((e.page for e in elements), default=0) + 1
     coord_unit = CoordUnit(meta.get("coord_unit", "pixel"))
+    doc_id = str(meta.get("doc_id", doc_id))
+    try:
+        check_strings(doc_id)
+    except ValueError as exc:
+        raise MalformedInput(f"document has a bad doc_id: {exc}") from exc
     document = CanonicalDocument(
-        doc_id=str(meta.get("doc_id", doc_id)),
+        doc_id=doc_id,
         page_count=int(page_count),
         coord_unit=coord_unit,
         source_schema=profile.name,

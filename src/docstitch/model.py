@@ -59,6 +59,20 @@ def bbox_is_valid(bbox: Sequence[float]) -> bool:
     return x0 < x1 and y0 < y1
 
 
+def check_strings(*values: object) -> None:
+    """Each value is None or a str that can be written as UTF-8.
+
+    ``json.loads`` lets a lone surrogate escape such as ``"\\ud800"``
+    through, and writing such a string fails only at the end of a run.
+    Raises TypeError, or ValueError (a UnicodeEncodeError).
+    """
+    for value in values:
+        if value is not None:
+            if type(value) is not str:
+                raise TypeError(f"expected a string, got {value!r}")
+            value.encode("utf-8")
+
+
 @dataclass(frozen=True)
 class CanonicalElement:
     """One OCR block in canonical form.
@@ -101,9 +115,7 @@ class CanonicalElement:
             table_html=d.get("table_html"),
             asset_ref=d.get("asset_ref"),
         )
-        for text in (element.content, element.table_html, element.asset_ref):
-            if text is not None and type(text) is not str:
-                raise TypeError(f"expected a string, got {text!r}")
+        check_strings(element.content, element.table_html, element.asset_ref)
         return element
 
 
@@ -158,8 +170,10 @@ class CanonicalDocument:
             for pos, e in enumerate(d["elements"]):
                 elements.append(CanonicalElement.from_dict(e))
             pos = None
+            doc_id = str(d["doc_id"])
+            check_strings(doc_id)
             return cls(
-                doc_id=str(d["doc_id"]),
+                doc_id=doc_id,
                 page_count=int(d["page_count"]),
                 coord_unit=CoordUnit(d.get("coord_unit", "pixel")),
                 source_schema=d.get("source_schema", "generic"),

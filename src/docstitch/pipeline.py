@@ -30,21 +30,13 @@ from .errors import ColumnMismatch, ConfigError, TableHtmlUnparseable
 from .filtering import (
     ASSOCIATION_TYPES,
     FilterConfig,
-    TablePairCandidate,
     filter_association_candidates,
     filter_table_truncation_candidates,
     filter_text_truncation_candidates,
     filter_titles,
 )
 from .model import CanonicalDocument, ElementType, PageIndex, validate_document
-from .predictors import (
-    CellMergeJudgement,
-    FallbackPredictor,
-    HierarchyPrediction,
-    PairPrediction,
-    Predictor,
-    RulePredictor,
-)
+from .predictors import FallbackPredictor, Predictor, RulePredictor
 from .predictors.remote import RemotePredictor
 from .tables import TableGrids
 from .textrules import TextRules
@@ -139,6 +131,13 @@ def _int(value: Any) -> int:
     return value
 
 
+def _float(value: Any) -> float:
+    # float() would take True as 1.0 and "1e1" as 10.0.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _str(value: Any) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -153,7 +152,7 @@ def _strings(value: Any) -> tuple[str, ...]:
 
 def _band(value: Any) -> tuple[float, float]:
     low, high = value
-    return (float(low), float(high))
+    return (_float(low), _float(high))
 
 
 # Config-file (section, key) -> (target field, conversion).  A target is a
@@ -167,7 +166,7 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
     ("chunking", "threshold"): ("threshold", _int),
     ("predictor", "mode"): ("predictor_mode", _str),
     ("predictor", "backend_url"): ("backend_url", _str),
-    ("predictor", "timeout_s"): ("backend_timeout", float),
+    ("predictor", "timeout_s"): ("backend_timeout", _float),
     ("predictor", "parallelism"): ("parallelism", _int),
     ("tree", "node_chunk_chars"): ("node_chunk_chars", _int),
     ("tree", "summarizer"): ("summarizer_mode", _str),
@@ -254,8 +253,6 @@ class _Run:
     index: PageIndex
     report: RunReport
     grids: TableGrids = field(default_factory=TableGrids)
-    # The candidate of every table pair requested, for apply.
-    table_pairs: dict[tuple[int, int], TablePairCandidate] = field(default_factory=dict)
 
 
 def _one_per_chunk(select: Callable[[_Run, tuple[int, int]], Any]) -> Callable:
@@ -279,12 +276,7 @@ def _table_requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[
     for skip in tables.skipped:
         if skip not in run.report.skipped_tables:
             run.report.skipped_tables.append(skip)
-    out = []
-    for cand in tables.candidates:
-        key = (cand.upper_idx, cand.lower_idx)
-        run.table_pairs.setdefault(key, cand)
-        out.append((key, cand))
-    return out
+    return [((cand.upper_idx, cand.lower_idx), cand) for cand in tables.candidates]
 
 
 @dataclass(frozen=True)
@@ -415,7 +407,7 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report.union_conflicts.extend(table_union.conflicts)
     predictions.table_judgements = table_union.judgements
 
-    resolved = apply_predictions(doc, predictions, run.table_pairs, run.grids)
+    resolved = apply_predictions(doc, predictions, run.grids)
     # Nothing below reads the parsed tables; freeing them before the tree is
     # built keeps the run's peak memory where it was before the cache.
     del run
@@ -460,32 +452,22 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
 def apply_predictions(
     doc: CanonicalDocument,
     predictions: DocumentPredictions,
-    table_pairs: dict[tuple[int, int], TablePairCandidate],
     grids: TableGrids,
 ) -> ResolvedDocument:
-    """Run the four application steps in their fixed order.
-
-    ``table_pairs`` holds the candidate the chunk filters built for every
-    judged table pair, and ``grids`` the tables they parsed.
-    """
+    """Run the four application steps in their fixed order; ``grids`` holds
+    the tables the chunk filters parsed."""
     resolved = ResolvedDocument.from_document(doc)
-    apply_mod.merge_text(resolved, PairPrediction(pairs=list(predictions.text_pairs)))
+    apply_mod.merge_text(resolved, predictions.text_pairs)
 
     if predictions.table_judgements:
         by_idx = resolved.index()
         for upper, lower, columns in predictions.table_judgements:
             try:
-                apply_mod.merge_tables(
-                    resolved,
-                    table_pairs[(upper, lower)],
-                    CellMergeJudgement(columns=list(columns)),
-                    by_idx,
-                    grids,
-                )
+                apply_mod.merge_tables(resolved, upper, lower, columns, by_idx, grids)
             except (ColumnMismatch, TableHtmlUnparseable) as exc:
                 resolved.flags.append(f"TableMergeSkipped:{upper}->{lower}:{exc.message}")
         resolved.rebuild(by_idx)
 
-    apply_mod.assign_levels(resolved, HierarchyPrediction(levels=dict(predictions.hierarchy)))
-    apply_mod.attach_links(resolved, PairPrediction(pairs=list(predictions.assoc_pairs)))
+    apply_mod.assign_levels(resolved, predictions.hierarchy)
+    apply_mod.attach_links(resolved, predictions.assoc_pairs)
     return resolved

@@ -13,8 +13,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from ..errors import BackendUnavailable, MalformedResponse
-from ..filtering import AssocCandidates, TablePairCandidate, TextPairCandidate, TitleSequence
-from ..model import CAPTION_LINK_TARGET, ElementType, VISUAL_TYPES
+from ..filtering import TablePairCandidate, TextPairCandidate
+from ..model import CAPTION_LINK_TARGET, CanonicalElement, ElementType, VISUAL_TYPES
 
 
 @dataclass
@@ -41,10 +41,6 @@ class CellMergeJudgement:
     columns: list[int]
     flags: list[str] = field(default_factory=list)
 
-    @property
-    def is_continuation(self) -> bool:
-        return bool(self.columns)
-
 
 class Predictor(ABC):
     """Uniform four-subtask prediction interface."""
@@ -52,21 +48,21 @@ class Predictor(ABC):
     name = "abstract"
 
     @abstractmethod
-    def predict_title_hierarchy(self, req: TitleSequence) -> HierarchyPrediction: ...
+    def predict_title_hierarchy(self, req: list[CanonicalElement]) -> HierarchyPrediction: ...
 
     @abstractmethod
     def predict_text_truncation(self, req: list[TextPairCandidate]) -> PairPrediction: ...
 
     @abstractmethod
-    def predict_association(self, req: AssocCandidates) -> PairPrediction: ...
+    def predict_association(self, req: list[CanonicalElement]) -> PairPrediction: ...
 
     @abstractmethod
     def predict_table_truncation(self, req: TablePairCandidate) -> CellMergeJudgement: ...
 
 
-def check_hierarchy_cover(req: TitleSequence, levels: dict[int, int]) -> None:
+def check_hierarchy_cover(req: list[CanonicalElement], levels: dict[int, int]) -> None:
     """Every requested idx exactly once, nothing extra; else malformed."""
-    wanted = req.idx_set()
+    wanted = {e.idx for e in req}
     got = set(levels)
     if got != wanted:
         missing = sorted(wanted - got)
@@ -96,10 +92,10 @@ def association_link_valid(src_type: ElementType, tgt_type: ElementType) -> bool
 
 
 def filter_association_pairs(
-    pairs: list[tuple[int, int]], req: AssocCandidates
+    pairs: list[tuple[int, int]], req: list[CanonicalElement]
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Drop pairs whose endpoints are unknown or violate the type rules."""
-    by_idx = {item.idx: item.etype for item in req.items}
+    by_idx = {e.idx: e.etype for e in req}
     kept, dropped = [], []
     for src, tgt in pairs:
         if (
@@ -152,13 +148,13 @@ class FallbackPredictor(Predictor):
             result.flags.append(f"degraded:{self.primary.name}->{self.fallback.name}")
             return result
 
-    def predict_title_hierarchy(self, req: TitleSequence) -> HierarchyPrediction:
+    def predict_title_hierarchy(self, req: list[CanonicalElement]) -> HierarchyPrediction:
         return self._guard("predict_title_hierarchy", req)
 
     def predict_text_truncation(self, req: list[TextPairCandidate]) -> PairPrediction:
         return self._guard("predict_text_truncation", req)
 
-    def predict_association(self, req: AssocCandidates) -> PairPrediction:
+    def predict_association(self, req: list[CanonicalElement]) -> PairPrediction:
         return self._guard("predict_association", req)
 
     def predict_table_truncation(self, req: TablePairCandidate) -> CellMergeJudgement:

@@ -21,12 +21,8 @@ from typing import Callable, Optional
 import requests
 
 from ..errors import BackendUnavailable, MalformedResponse
-from ..filtering import (
-    AssocCandidates,
-    TablePairCandidate,
-    TextPairCandidate,
-    TitleSequence,
-)
+from ..filtering import TablePairCandidate, TextPairCandidate
+from ..model import CanonicalElement
 from . import (
     CellMergeJudgement,
     HierarchyPrediction,
@@ -41,6 +37,8 @@ from . import (
 logger = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "DOCSTITCH_BACKEND_TOKEN"
+# A malformed response is retried this many times before MalformedResponse.
+RETRIES = 1
 
 
 def post_json(
@@ -71,17 +69,9 @@ def post_json(
 class RemotePredictor(Predictor):
     name = "remote"
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = 30.0,
-        retries: int = 1,
-        page_image_provider: Optional[Callable[[list[int]], list[str]]] = None,
-    ):
+    def __init__(self, url: str, timeout: float = 30.0):
         self.url = url
         self.timeout = timeout
-        self.retries = retries
-        self.page_image_provider = page_image_provider
         self._local = threading.local()
 
     # -- transport ------------------------------------------------------
@@ -101,7 +91,7 @@ class RemotePredictor(Predictor):
 
     def _call(self, body: dict, parse: Callable[[object], object]) -> object:
         last: Optional[MalformedResponse] = None
-        for _ in range(self.retries + 1):
+        for _ in range(RETRIES + 1):
             try:
                 return parse(self._post(body))
             except MalformedResponse as exc:
@@ -109,11 +99,6 @@ class RemotePredictor(Predictor):
                 logger.warning("malformed backend response for %s: %s", body.get("task"), exc.message)
         assert last is not None
         raise last
-
-    def _images(self, pages: list[int]) -> list[str]:
-        if self.page_image_provider is None or not pages:
-            return []
-        return self.page_image_provider(sorted(set(pages)))
 
     @staticmethod
     def _block(idx: int, etype: str, content: str, page: int, bbox) -> dict:
@@ -127,16 +112,11 @@ class RemotePredictor(Predictor):
 
     # -- subtasks -------------------------------------------------------
 
-    def predict_title_hierarchy(self, req: TitleSequence) -> HierarchyPrediction:
+    def predict_title_hierarchy(self, req: list[CanonicalElement]) -> HierarchyPrediction:
         body = {
             "task": "title_hierarchy",
-            "blocks": [
-                self._block(t.idx, "title", t.content, t.page, t.bbox) for t in req.items
-            ],
+            "blocks": [self._block(t.idx, "title", t.content, t.page, t.bbox) for t in req],
         }
-        images = self._images([t.page for t in req.items])
-        if images:
-            body["images"] = images
 
         def parse(data: object) -> HierarchyPrediction:
             if not isinstance(data, list):
@@ -177,25 +157,22 @@ class RemotePredictor(Predictor):
         heads = {c.tgt_idx: c.tgt_head for c in req}
         tails = {c.src_idx: c.src_tail for c in req}
         blocks = []
-        pages = []
+        seen: set[int] = set()
         for cand in req:
             for idx, page, bbox in (
                 (cand.src_idx, cand.src_page, cand.src_bbox),
                 (cand.tgt_idx, cand.tgt_page, cand.tgt_bbox),
             ):
-                if any(b["idx"] == idx for b in blocks):
+                if idx in seen:
                     continue
+                seen.add(idx)
                 head, tail = heads.get(idx), tails.get(idx)
                 if head and tail and head != tail:
                     content = f"{head} ... {tail}"
                 else:
                     content = head or tail or ""
                 blocks.append(self._block(idx, "text", content, page, bbox))
-                pages.append(page)
         body = {"task": "text_truncation", "blocks": blocks}
-        images = self._images(pages)
-        if images:
-            body["images"] = images
 
         def parse(data: object) -> PairPrediction:
             pairs = self._parse_pairs(data)
@@ -205,17 +182,13 @@ class RemotePredictor(Predictor):
 
         return self._call(body, parse)  # type: ignore[return-value]
 
-    def predict_association(self, req: AssocCandidates) -> PairPrediction:
+    def predict_association(self, req: list[CanonicalElement]) -> PairPrediction:
         body = {
             "task": "association",
             "blocks": [
-                self._block(it.idx, it.etype.value, it.content, it.page, it.bbox)
-                for it in req.items
+                self._block(it.idx, it.etype.value, it.content, it.page, it.bbox) for it in req
             ],
         }
-        images = self._images([it.page for it in req.items])
-        if images:
-            body["images"] = images
 
         def parse(data: object) -> PairPrediction:
             pairs = self._parse_pairs(data)
@@ -226,15 +199,17 @@ class RemotePredictor(Predictor):
         return self._call(body, parse)  # type: ignore[return-value]
 
     def predict_table_truncation(self, req: TablePairCandidate) -> CellMergeJudgement:
+        upper_rows = req.upper_rows.to_html(fragment=True)
+        lower_rows = req.lower_rows.to_html(fragment=True)
         body = {
             "task": "table_truncation",
             "upper_caption": req.upper_caption,
-            "upper_row": req.upper_rows,
+            "upper_row": upper_rows,
             "lower_caption": req.lower_caption,
-            "lower_row": req.lower_rows,
+            "lower_row": lower_rows,
             "blocks": [
-                {"idx": req.upper_idx, "type": "table", "content": req.upper_rows},
-                {"idx": req.lower_idx, "type": "table", "content": req.lower_rows},
+                {"idx": req.upper_idx, "type": "table", "content": upper_rows},
+                {"idx": req.lower_idx, "type": "table", "content": lower_rows},
             ],
         }
 
@@ -250,7 +225,7 @@ class RemotePredictor(Predictor):
             if not isinstance(judgement, list):
                 raise MalformedResponse("judgement must be a list")
             try:
-                columns = check_judgement(judgement, req.col_counts[0])
+                columns = check_judgement(judgement, req.upper_rows.n_cols)
             except MalformedResponse as exc:
                 # Length mismatch degrades to "not a continuation" with a flag.
                 return CellMergeJudgement(columns=[], flags=[f"judgement_invalid:{exc.message}"])

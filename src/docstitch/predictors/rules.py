@@ -39,15 +39,12 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from ..errors import TableHtmlUnparseable
-from ..filtering import (
-    AssocCandidates,
-    TablePairCandidate,
-    TextPairCandidate,
-    TitleSequence,
-)
-from ..model import CAPTION_LINK_TARGET, ElementType, VISUAL_TYPES
-from ..tables import parse_table
+from ..filtering import TablePairCandidate, TextPairCandidate
+from ..model import CAPTION_LINK_TARGET, CanonicalElement, ElementType, VISUAL_TYPES
+
+# Not called here: the candidates carry parsed row windows.  The name stays
+# importable because perfbench/tracer.py rebinds it in this module.
+from ..tables import parse_table  # noqa: F401
 from ..textrules import TextRules, is_cjk
 from . import CellMergeJudgement, HierarchyPrediction, PairPrediction, Predictor
 
@@ -91,17 +88,17 @@ class RulePredictor(Predictor):
 
     # -- title hierarchy ------------------------------------------------
 
-    def predict_title_hierarchy(self, req: TitleSequence) -> HierarchyPrediction:
-        if not req.items:
+    def predict_title_hierarchy(self, req: list[CanonicalElement]) -> HierarchyPrediction:
+        if not req:
             return HierarchyPrediction(levels={})
-        depths = [outline_depth(t.content) for t in req.items]
+        depths = [outline_depth(t.content) for t in req]
         levels: dict[int, int] = {}
 
         if any(d is not None for d in depths):
             first_numbered = next(i for i, d in enumerate(depths) if d is not None)
             offset = 1 if first_numbered > 0 else 0
             last_numbered_level: Optional[int] = None
-            for pos, (item, depth) in enumerate(zip(req.items, depths)):
+            for pos, (item, depth) in enumerate(zip(req, depths)):
                 if depth is not None:
                     level = depth + offset
                     last_numbered_level = level
@@ -112,7 +109,7 @@ class RulePredictor(Predictor):
                 levels[item.idx] = level
         else:
             group_level: dict[str, int] = {}
-            for item in req.items:
+            for item in req:
                 sig = shape_signature(item.content)
                 if sig not in group_level:
                     group_level[sig] = len(group_level) + 1
@@ -140,13 +137,13 @@ class RulePredictor(Predictor):
 
     # -- association ----------------------------------------------------
 
-    def predict_association(self, req: AssocCandidates) -> PairPrediction:
+    def predict_association(self, req: list[CanonicalElement]) -> PairPrediction:
         pairs: list[tuple[int, int]] = []
         unresolved: list[int] = []
-        titles = [it for it in req.items if it.etype is ElementType.TITLE]
-        visuals = [it for it in req.items if it.etype in VISUAL_TYPES]
+        titles = [it for it in req if it.etype is ElementType.TITLE]
+        visuals = [it for it in req if it.etype in VISUAL_TYPES]
 
-        for item in req.items:
+        for item in req:
             target_kind = CAPTION_LINK_TARGET.get(item.etype)
             if target_kind is None:
                 continue
@@ -178,16 +175,13 @@ class RulePredictor(Predictor):
     # -- table truncation -------------------------------------------------
 
     def predict_table_truncation(self, req: TablePairCandidate) -> CellMergeJudgement:
-        if req.col_counts[0] != req.col_counts[1]:
-            return CellMergeJudgement(columns=[])
-        try:
-            upper = parse_table(req.upper_rows)
-            lower = parse_table(req.lower_rows)
-        except TableHtmlUnparseable:
-            return CellMergeJudgement(columns=[], flags=["unparseable_rows"])
+        upper, lower = req.upper_rows, req.lower_rows
         n = upper.n_cols
         if lower.n_cols != n:
             return CellMergeJudgement(columns=[])
+        if not (upper.n_rows and lower.n_rows):
+            # A row_window of 0 gives empty windows; there is no row to judge.
+            return CellMergeJudgement(columns=[], flags=["unparseable_rows"])
         if lower.row_text(0) == upper.row_text(0):
             return CellMergeJudgement(columns=[0] * n, flags=["repeated_header"])
         upper_last = upper.row_text(upper.n_rows - 1)

@@ -98,11 +98,10 @@ class TableGrid:
                 )
         return TableGrid(new_cells, stop - start, self.n_cols)
 
-    def row_window_html(self, n: int, tail: bool) -> str:
-        """The first (tail=False) or last (tail=True) n rows as an HTML fragment."""
+    def row_window(self, n: int, tail: bool) -> TableGrid:
+        """The first (tail=False) or last (tail=True) n rows."""
         k = min(n, self.n_rows)
-        window = self.slice_rows(self.n_rows - k, self.n_rows) if tail else self.slice_rows(0, k)
-        return window.to_html(fragment=True)
+        return self.slice_rows(self.n_rows - k, self.n_rows) if tail else self.slice_rows(0, k)
 
     def to_html(self, fragment: bool = False) -> str:
         rows = []

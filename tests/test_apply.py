@@ -16,9 +16,7 @@ from docstitch.apply import (
     merge_text,
 )
 from docstitch.errors import ColumnMismatch
-from docstitch.filtering import TablePairCandidate
 from docstitch.model import ElementType
-from docstitch.predictors import CellMergeJudgement, HierarchyPrediction, PairPrediction
 from docstitch.textrules import join_fragments
 
 from .helpers import stack_elements
@@ -32,7 +30,7 @@ def test_merge_text_space_join():
     d = stack_elements(
         "t", [("text", "propagation can", 0), ("text", "be decomposed", 1)]
     )
-    r = merge_text(_resolved(d), PairPrediction(pairs=[(0, 1)]))
+    r = merge_text(_resolved(d), [(0, 1)])
     assert len(r.elements) == 1
     assert r.elements[0].content == "propagation can be decomposed"
     assert r.merge_log.remap == {1: 0}
@@ -40,7 +38,7 @@ def test_merge_text_space_join():
 
 def test_merge_text_dehyphenation():
     d = stack_elements("t", [("text", "decom-", 0), ("text", "posed", 1)])
-    r = merge_text(_resolved(d), PairPrediction(pairs=[(0, 1)]))
+    r = merge_text(_resolved(d), [(0, 1)])
     assert r.elements[0].content == "decomposed"
 
 
@@ -53,7 +51,7 @@ def test_merge_text_chain_collapses_transitively():
             ("text", "five.", 1),
         ],
     )
-    r = merge_text(_resolved(d), PairPrediction(pairs=[(0, 1), (1, 2)]))
+    r = merge_text(_resolved(d), [(0, 1), (1, 2)])
     assert len(r.elements) == 1
     assert r.elements[0].content == "one two three four five."
     assert r.merge_log.records[0].absorbed == [1, 2]
@@ -69,7 +67,7 @@ def test_merge_text_non_adjacent_pair_skipped_and_flagged():
             ("text", "c", 0),
         ],
     )
-    r = merge_text(_resolved(d), PairPrediction(pairs=[(0, 2)]))
+    r = merge_text(_resolved(d), [(0, 2)])
     assert len(r.elements) == 3
     assert any(f.startswith("PairNotAdjacent") for f in r.flags)
 
@@ -77,7 +75,7 @@ def test_merge_text_non_adjacent_pair_skipped_and_flagged():
 def test_merge_text_keeps_src_geometry_and_idx():
     d = stack_elements("t", [("text", "left", 0), ("text", "right", 1)])
     src_bbox = d.elements[0].bbox
-    r = merge_text(_resolved(d), PairPrediction(pairs=[(0, 1)]))
+    r = merge_text(_resolved(d), [(0, 1)])
     assert r.elements[0].idx == 0
     assert r.elements[0].bbox == src_bbox
     # absorbed geometry is recoverable from the log
@@ -102,16 +100,9 @@ def _table_doc():
     )
 
 
-def _table_cand(doc):
-    return TablePairCandidate(
-        upper_idx=0, lower_idx=1, upper_caption=None, lower_caption=None,
-        upper_rows="", lower_rows="", width_ratio=1.0, col_counts=(3, 3),
-    )
-
-
 def test_merge_tables_partial_fusion():
     d = _table_doc()
-    r = merge_tables(_resolved(d), _table_cand(d), CellMergeJudgement(columns=[0, 1, 0]))
+    r = merge_tables(_resolved(d), 0, 1, [0, 1, 0])
     assert len(r.elements) == 1
     merged = r.elements[0]
     assert "2023-01-15" in (merged.table_html or "")
@@ -122,7 +113,7 @@ def test_merge_tables_partial_fusion():
 
 def test_merge_tables_empty_judgement_is_noop():
     d = _table_doc()
-    r = merge_tables(_resolved(d), _table_cand(d), CellMergeJudgement(columns=[]))
+    r = merge_tables(_resolved(d), 0, 1, [])
     assert len(r.elements) == 2
     assert r.merge_log.records == []
 
@@ -136,14 +127,14 @@ def test_merge_tables_column_mismatch_raises():
         ],
     )
     with pytest.raises(ColumnMismatch):
-        merge_tables(_resolved(d), _table_cand(d), CellMergeJudgement(columns=[1]))
+        merge_tables(_resolved(d), 0, 1, [1])
 
 
 def test_merge_tables_conservation_check(corpus):
     # exercised against the real merged corpus docs in acceptance; here a
     # direct unit check on the partial fusion
     d = _table_doc()
-    r = merge_tables(_resolved(d), _table_cand(d), CellMergeJudgement(columns=[0, 1, 0]))
+    r = merge_tables(_resolved(d), 0, 1, [0, 1, 0])
     assert check_table_conservation(d, r) == []
 
 
@@ -152,7 +143,7 @@ def test_assign_levels_stores_and_demotes():
         "t",
         [("title", "Keep", 0), ("title", "Not a title", 0), ("text", "body.", 0)],
     )
-    r = assign_levels(_resolved(d), HierarchyPrediction(levels={0: 1, 1: -1}))
+    r = assign_levels(_resolved(d), {0: 1, 1: -1})
     assert r.levels == {0: 1}
     assert r.demoted == [1]
     assert r.index()[1].etype is ElementType.TEXT
@@ -163,14 +154,14 @@ def test_assign_levels_missing_title_defaults_to_previous():
         "t",
         [("title", "A", 0), ("title", "B", 0), ("title", "C", 0)],
     )
-    r = assign_levels(_resolved(d), HierarchyPrediction(levels={0: 1, 2: 2}))
+    r = assign_levels(_resolved(d), {0: 1, 2: 2})
     assert r.levels == {0: 1, 1: 1, 2: 2}
     assert any(f.startswith("UnknownTitle:1") for f in r.flags)
 
 
 def test_assign_levels_unknown_idx_flagged_and_skipped():
     d = stack_elements("t", [("title", "A", 0)])
-    r = assign_levels(_resolved(d), HierarchyPrediction(levels={0: 1, 42: 3}))
+    r = assign_levels(_resolved(d), {0: 1, 42: 3})
     assert r.levels == {0: 1}
     assert any(f.startswith("UnknownIdx:42") for f in r.flags)
 
@@ -185,7 +176,7 @@ def test_attach_links_routes_by_type():
         ],
     )
     r = attach_links(
-        _resolved(d), PairPrediction(pairs=[(2, 1), (1, 0)])
+        _resolved(d), [(2, 1), (1, 0)]
     )
     assert r.caption_links == {2: 1}
     assert r.section_links == {1: 0}
@@ -196,7 +187,7 @@ def test_attach_links_type_violation_dropped():
         "t",
         [("title", "Sec", 0), ("image_caption", "cap", 0)],
     )
-    r = attach_links(_resolved(d), PairPrediction(pairs=[(1, 0)]))
+    r = attach_links(_resolved(d), [(1, 0)])
     assert r.caption_links == {}
     assert any(f.startswith("TypeRuleViolation") for f in r.flags)
 
@@ -212,9 +203,8 @@ def test_attach_links_remaps_absorbed_idx():
         ],
     )
     r = _resolved(d)
-    cand = TablePairCandidate(1, 2, None, None, "", "", 1.0, (3, 3))
-    merge_tables(r, cand, CellMergeJudgement(columns=[0, 0, 0]))
-    attach_links(r, PairPrediction(pairs=[(3, 2), (2, 0)]))
+    merge_tables(r, 1, 2, [0, 0, 0])
+    attach_links(r, [(3, 2), (2, 0)])
     # caption pointed at the absorbed lower table; resolves to the survivor
     assert r.caption_links == {3: 1}
     assert r.section_links == {1: 0}
@@ -223,11 +213,11 @@ def test_attach_links_remaps_absorbed_idx():
 def test_empty_predictions_are_identity(corpus):
     for doc in corpus.values():
         r = _resolved(doc)
-        merge_text(r, PairPrediction(pairs=[]))
-        assign_levels(r, HierarchyPrediction(levels={
+        merge_text(r, [])
+        assign_levels(r, {
             e.idx: 1 for e in doc.elements if e.etype is ElementType.TITLE
-        }))
-        attach_links(r, PairPrediction(pairs=[]))
+        })
+        attach_links(r, [])
         assert [e.idx for e in r.elements] == [e.idx for e in doc.elements]
         assert [e.content for e in r.elements] == [e.content for e in doc.elements]
 
@@ -248,7 +238,7 @@ def test_content_conservation_under_random_chains(contents, data):
         st.lists(st.booleans(), min_size=len(contents) - 1, max_size=len(contents) - 1)
     )
     pairs = [(i, i + 1) for i, on in enumerate(pair_flags) if on]
-    r = merge_text(_resolved(d), PairPrediction(pairs=pairs))
+    r = merge_text(_resolved(d), pairs)
     assert check_text_conservation(d, r) == []
     # every element accounted for: survivors + absorbed = original
     survivor_idx = {e.idx for e in r.elements}

@@ -110,6 +110,8 @@ def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
         {"chunking": {"stride": "eight"}},
         {"filters": {"width_band": 5}},
         {"chunking": {"stride": 2.5, "threshold": "1"}},
+        {"predictor": {"timeout_s": True}},
+        {"filters": {"width_band": ["0.5", True]}},
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -139,6 +141,39 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "ingest.MalformedInput"
         assert err["error"]["message"].startswith("element #0 ")
+
+
+@pytest.mark.parametrize("kind", ["canonical", "mineru"])
+def test_process_lone_surrogate_exits_3(tmp_path, capsys, kind):
+    # json.loads accepts the escape "\ud800", but UTF-8 cannot encode it.
+    text, bbox = "bad \ud800 text.", [0, 0, 1, 1]
+    if kind == "canonical":
+        element = {"idx": 0, "type": "text", "content": text, "page": 0, "bbox": bbox}
+        raw, where = {"doc_id": "d", "page_count": 1, "elements": [element]}, "element #0 "
+    else:
+        raw, where = [{"type": "text", "text": text, "page_idx": 0, "bbox": bbox}], "block #0 "
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = run_cli("process", str(doc), "--profile", "mineru", "--out-dir", str(out))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "ingest.MalformedInput"
+    assert err["error"]["message"].startswith(where)
+    assert not out.exists()
+
+
+def test_process_lone_surrogate_in_dropped_block_is_ignored(tmp_path):
+    # A discarded block's text reaches no artifact, so it is not checked.
+    bbox = [0, 0, 1, 1]
+    raw = [
+        {"type": "discarded", "text": "bad \ud800 footer", "page_idx": 0, "bbox": bbox},
+        {"type": "text", "text": "Body text.", "page_idx": 0, "bbox": bbox},
+    ]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("process", str(doc), "--profile", "mineru", "--out-dir", str(out)) == 0
 
 
 def test_process_remote_unreachable_degrades_to_rules(tmp_path):

@@ -32,8 +32,8 @@ def test_titles_projected_in_reading_order():
         ],
     )
     seq = filter_titles(d)
-    assert [t.content for t in seq.items] == ["A", "B", "C", "D"]
-    assert [t.idx for t in seq.items] == [1, 3, 5, 6]
+    assert [t.content for t in seq] == ["A", "B", "C", "D"]
+    assert [t.idx for t in seq] == [1, 3, 5, 6]
 
 
 def test_golden_fixture_has_23_titles_across_9_pages(field_manual):
@@ -41,7 +41,7 @@ def test_golden_fixture_has_23_titles_across_9_pages(field_manual):
     assert len(seq) == 23
     assert field_manual.page_count == 9
     # hand-enumerated idx set from the fixture definition
-    assert [t.idx for t in seq.items] == [
+    assert [t.idx for t in seq] == [
         1, 2, 4, 6, 8, 11, 12, 14, 16, 19, 21, 23, 26, 28, 30, 31,
         36, 38, 41, 43, 44, 46, 47,
     ]
@@ -67,13 +67,13 @@ def test_association_candidates_project_the_seven_types():
     )
     cands = filter_association_candidates(d)
     assert len(cands) == 2
-    assert all(c.etype is not ElementType.TEXT for c in cands.items)
+    assert all(c.etype is not ElementType.TEXT for c in cands)
 
 
 def test_golden_fixture_association_multiset(field_manual):
     cands = filter_association_candidates(field_manual)
     by_type: dict[str, int] = {}
-    for item in cands.items:
+    for item in cands:
         by_type[item.etype.value] = by_type.get(item.etype.value, 0) + 1
     # 23 titles, 2 images, 2 tables, 2 image captions, 2 table captions
     assert by_type == {
@@ -161,7 +161,7 @@ def test_matching_boundary_tables_become_candidate():
     result = filter_table_truncation_candidates(_table_doc(H5, H5))
     assert len(result.candidates) == 1
     cand = result.candidates[0]
-    assert cand.col_counts == (5, 5)
+    assert (cand.upper_rows.n_cols, cand.lower_rows.n_cols) == (5, 5)
     assert 0.9 <= cand.width_ratio <= 1.1
 
 
@@ -197,14 +197,14 @@ def test_row_windows_config():
     cfg = FilterConfig(row_window=2)
     result = filter_table_truncation_candidates(_table_doc(big, big), cfg)
     cand = result.candidates[0]
-    assert "r8" in cand.upper_rows and "r9" in cand.upper_rows and "r7" not in cand.upper_rows
-    assert "r0" in cand.lower_rows and "r1" in cand.lower_rows and "r2" not in cand.lower_rows
+    assert [cand.upper_rows.row_text(r) for r in range(cand.upper_rows.n_rows)] == [["r8"], ["r9"]]
+    assert [cand.lower_rows.row_text(r) for r in range(cand.lower_rows.n_rows)] == [["r0"], ["r1"]]
 
 
 def test_filters_are_projections(field_manual):
     all_idx = {e.idx for e in field_manual.elements}
-    assert {t.idx for t in filter_titles(field_manual).items} <= all_idx
-    assert {i.idx for i in filter_association_candidates(field_manual).items} <= all_idx
+    assert {t.idx for t in filter_titles(field_manual)} <= all_idx
+    assert {i.idx for i in filter_association_candidates(field_manual)} <= all_idx
     for c in filter_text_truncation_candidates(field_manual):
         assert {c.src_idx, c.tgt_idx} <= all_idx
 

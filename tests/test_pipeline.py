@@ -48,11 +48,10 @@ def test_gold_annotation_idx_exist_in_their_documents(corpus):
 
 def test_assign_levels_clamps_out_of_range_levels():
     from docstitch.apply import ResolvedDocument, assign_levels
-    from docstitch.predictors import HierarchyPrediction
 
     d = stack_elements("t", [("title", "A", 0), ("title", "B", 0)])
     r = ResolvedDocument.from_document(d)
-    assign_levels(r, HierarchyPrediction(levels={0: 0, 1: -3}))
+    assign_levels(r, {0: 0, 1: -3})
     assert r.levels == {0: 1, 1: 1}
     assert sum(1 for f in r.flags if f.startswith("LevelClamped")) == 2
 
@@ -298,6 +297,10 @@ def test_config_rejects_bad_modes_and_ranges():
         {"chunking": {"stride": 8.0}},
         {"tree": {"summary_cap_chars": "300"}},
         {"filters": {"row_window": False}},
+        {"predictor": {"timeout_s": True}},
+        {"predictor": {"timeout_s": "1e1"}},
+        {"filters": {"width_band": ["0.5", 1.0]}},
+        {"filters": {"width_band": [0.5, True]}},
     ],
 )
 def test_config_rejects_wrong_typed_values(raw):
@@ -377,7 +380,7 @@ def test_each_table_pair_posted_once_in_remote_mode(monkeypatch, field_manual):
     assert len(result.predictions.table_judgements) == len(set(seen))
 
 
-def test_parse_table_runs_at_most_twice_per_table(monkeypatch, corpus):
+def test_parse_table_runs_at_most_once_per_table(monkeypatch, corpus):
     calls: list = []
     for module in (docstitch.tables, docstitch.apply, docstitch.predictors.rules):
         _count_calls(monkeypatch, module, "parse_table", calls)
@@ -385,13 +388,22 @@ def test_parse_table_runs_at_most_twice_per_table(monkeypatch, corpus):
         calls.clear()
         result = run_pipeline(doc, PipelineConfig())
         tables = [e for e in doc.elements if e.etype is ElementType.TABLE]
-        assert len(calls) <= 2 * len(tables), doc_id
-        # a table's own HTML is parsed once; the rest are row windows
+        assert len(calls) <= len(tables), doc_id
+        # only a table's own HTML is parsed, never a row window
         parsed = [args[0] for args in calls]
+        assert set(parsed) <= {t.table_html for t in tables}, doc_id
         for t in tables:
             assert parsed.count(t.table_html) <= 1, (doc_id, t.idx)
         if doc_id == "tables_galore":
             assert result.report.counts["table_merges"] > 0
+
+
+def test_zero_row_window_flags_each_pair_and_merges_nothing():
+    # row_window 0 gives empty windows: no row to judge, so the pair is flagged.
+    doc = load_corpus_doc("tables_galore")
+    result = run_pipeline(doc, PipelineConfig.from_dict({"filters": {"row_window": 0}}))
+    assert result.report.warnings == ["table[0]:unparseable_rows"] * 2
+    assert result.report.counts["table_merges"] == 0
 
 
 def test_chained_table_pair_after_absorbed_upper_is_skipped():

@@ -10,6 +10,7 @@ from docstitch.filtering import (
 )
 from docstitch.predictors import RulePredictor
 from docstitch.predictors.rules import outline_depth, shape_signature
+from docstitch.tables import parse_table
 
 from .helpers import stack_elements
 
@@ -149,21 +150,20 @@ def test_association_respects_caption_kind(rules):
     assert (1, 2) in pred.pairs
 
 
-def _cand(upper_rows, lower_rows, cols=(3, 3), lower_caption=None):
+def _cand(upper_rows, lower_rows, lower_caption=None):
     return TablePairCandidate(
         upper_idx=1,
         lower_idx=2,
         upper_caption=None,
         lower_caption=lower_caption,
-        upper_rows=upper_rows,
-        lower_rows=lower_rows,
+        upper_rows=parse_table(upper_rows),
+        lower_rows=parse_table(lower_rows),
         width_ratio=1.0,
-        col_counts=cols,
     )
 
 
 def test_table_rules_column_mismatch_empty(rules):
-    cand = _cand("<tr><td>a</td></tr>", "<tr><td>a</td><td>b</td></tr>", cols=(1, 2))
+    cand = _cand("<tr><td>a</td></tr>", "<tr><td>a</td><td>b</td></tr>")
     assert rules.predict_table_truncation(cand).columns == []
 
 

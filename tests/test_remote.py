@@ -94,9 +94,10 @@ def test_association_type_rule_violations_dropped(small_doc):
 
 def test_table_judgement_length_mismatch_degrades_to_empty():
     from docstitch.filtering import TablePairCandidate
+    from docstitch.tables import parse_table
 
-    cand = TablePairCandidate(1, 2, None, None, "<tr><td>a</td><td>b</td></tr>",
-                              "<tr><td>c</td><td>d</td></tr>", 1.0, (2, 2))
+    cand = TablePairCandidate(1, 2, None, None, parse_table("<tr><td>a</td><td>b</td></tr>"),
+                              parse_table("<tr><td>c</td><td>d</td></tr>"), 1.0)
     with MockBackend({"table_truncation": [{"judgement": [1, 0, 1]}]}) as be:
         pred = RemotePredictor(be.url).predict_table_truncation(cand)
         assert pred.columns == []

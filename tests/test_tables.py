@@ -59,10 +59,10 @@ def test_serialization_round_trip_preserves_grid():
 
 def test_rows_window_head_and_tail():
     grid = parse_table("<table>" + "".join(f"<tr><td>r{i}</td></tr>" for i in range(5)) + "</table>")
-    assert "r0" in grid.row_window_html(2, tail=False)
-    assert "r4" in grid.row_window_html(2, tail=True)
-    assert "r0" not in grid.row_window_html(2, tail=True)
-    assert grid.n_cols == 1
+    assert [grid.row_window(2, tail=False).row_text(r) for r in (0, 1)] == [["r0"], ["r1"]]
+    assert [grid.row_window(2, tail=True).row_text(r) for r in (0, 1)] == [["r3"], ["r4"]]
+    assert grid.row_window(9, tail=True).n_rows == 5
+    assert grid.row_window(2, tail=True).n_cols == 1
 
 
 def test_fragment_without_table_wrapper_parses():
