@@ -13,12 +13,13 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
 
-from .errors import ColumnMismatch
+from .errors import ColumnMismatch, TableHtmlUnparseable
 from .model import (
     CanonicalDocument,
     CanonicalElement,
     CoordUnit,
     ElementType,
+    VISUAL_TYPES,
 )
 from .predictors import association_link_valid
 from .tables import TableGrids, merge_grids, parse_table
@@ -162,51 +163,47 @@ def merge_text(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Reso
 
 def merge_tables(
     resolved: ResolvedDocument,
-    upper_idx: int,
-    lower_idx: int,
-    columns: list[int],
-    by_idx: Optional[dict[int, CanonicalElement]] = None,
+    judgements: list[tuple[int, int, list[int]]],
     grids: Optional[TableGrids] = None,
 ) -> ResolvedDocument:
-    """Fuse the table pair (upper_idx, lower_idx) per its column judgement
-    vector ``columns``; an empty vector means the pair is not one table.
+    """Fuse each table pair (upper_idx, lower_idx) per its column judgement
+    vector; an empty vector means the pair is not one table.
 
-    Raises ColumnMismatch / TableHtmlUnparseable; callers decide whether to
-    skip and flag (the pipeline does).  A caller merging many pairs passes
-    one ``by_idx`` from ``resolved.index()``: each merge then only edits
-    that map, and the caller calls ``resolved.rebuild(by_idx)`` once at the
-    end.  ``grids`` reuses tables already parsed by the table filter.
+    A pair that cannot be fused (an endpoint missing or not a table, a
+    judgement of the wrong width, unparseable HTML) is skipped with a
+    TableMergeSkipped flag.  ``grids`` reuses tables already parsed by the
+    table filter.
     """
-    if not columns:
-        return resolved
-    batched = by_idx is not None
-    by_idx = by_idx if batched else resolved.index()
     grids = grids or TableGrids()
-    upper = by_idx.get(upper_idx)
-    lower = by_idx.get(lower_idx)
-    if upper is None or lower is None:
-        raise ColumnMismatch(f"table pair ({upper_idx}, {lower_idx}) not in document")
-    if upper.etype is not ElementType.TABLE or lower.etype is not ElementType.TABLE:
-        raise ColumnMismatch("merge_tables endpoints must both be tables")
-
-    outcome = merge_grids(grids.grid(upper), grids.grid(lower), columns, join_fragments)
-
-    merged = replace(upper, table_html=outcome.grid.to_html())
-    record = MergeRecord(
-        kind="table",
-        src_idx=upper.idx,
-        absorbed=[lower.idx],
-        fragments=[_fragment(upper), _fragment(lower)],
-        judgement=list(columns),
-        fused=outcome.fused,
-        dropped_header=outcome.dropped_header,
-    )
-    resolved.merge_log.records.append(record)
-    resolved.merge_log.remap[lower.idx] = upper.idx
-    by_idx[upper.idx] = merged
-    del by_idx[lower.idx]
-    if not batched:
-        resolved.rebuild(by_idx)
+    by_idx = resolved.index()
+    for upper_idx, lower_idx, columns in judgements:
+        if not columns:
+            continue
+        upper, lower = by_idx.get(upper_idx), by_idx.get(lower_idx)
+        try:
+            if upper is None or lower is None:
+                raise ColumnMismatch(f"table pair ({upper_idx}, {lower_idx}) not in document")
+            if upper.etype is not ElementType.TABLE or lower.etype is not ElementType.TABLE:
+                raise ColumnMismatch("merge_tables endpoints must both be tables")
+            outcome = merge_grids(grids.grid(upper), grids.grid(lower), columns, join_fragments)
+        except (ColumnMismatch, TableHtmlUnparseable) as exc:
+            resolved.flags.append(f"TableMergeSkipped:{upper_idx}->{lower_idx}:{exc.message}")
+            continue
+        resolved.merge_log.records.append(
+            MergeRecord(
+                kind="table",
+                src_idx=upper.idx,
+                absorbed=[lower.idx],
+                fragments=[_fragment(upper), _fragment(lower)],
+                judgement=list(columns),
+                fused=outcome.fused,
+                dropped_header=outcome.dropped_header,
+            )
+        )
+        resolved.merge_log.remap[lower.idx] = upper.idx
+        by_idx[upper.idx] = replace(upper, table_html=outcome.grid.to_html())
+        del by_idx[lower.idx]
+    resolved.rebuild(by_idx)
     return resolved
 
 
@@ -266,7 +263,7 @@ def attach_links(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Re
             continue
         links = (
             resolved.section_links
-            if src_el.etype in (ElementType.IMAGE, ElementType.TABLE)
+            if src_el.etype in VISUAL_TYPES
             else resolved.caption_links
         )
         if src in links:

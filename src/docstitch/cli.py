@@ -162,16 +162,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not isinstance(pred_raw, dict) or not isinstance(gold_raw, dict):
         raise SchemaMismatch("prediction and gold files must hold JSON objects")
     gold = GoldAnnotations.from_dict(gold_raw)
-    try:
-        pred_hierarchy = {int(k): int(v) for k, v in pred_raw.get("hierarchy", {}).items()}
-        pred_text = [(int(a), int(b)) for a, b in pred_raw.get("text_pairs", [])]
-        pred_assoc = [(int(a), int(b)) for a, b in pred_raw.get("assoc_pairs", [])]
-        pred_tables = {
-            (int(j["upper_idx"]), int(j["lower_idx"])): [int(v) for v in j["judgement"]]
-            for j in pred_raw.get("table_judgements", [])
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"bad prediction file: {exc}") from exc
 
     retrieved = None
     if args.retrieved:
@@ -180,17 +170,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise SchemaMismatch("retrieved boxes file must hold a JSON array")
         retrieved = [(int(p), [float(v) for v in box]) for p, box in loaded]
 
-    # Judgements align on the gold candidate pairs; a missing prediction is
-    # an empty (not-a-continuation) vector.
-    aligned_preds = [pred_tables.get((u, l), []) for u, l, _ in gold.table_judgements]
-    report = evaluate(
-        gold,
-        pred_hierarchy=pred_hierarchy if gold.hierarchy else None,
-        pred_text_pairs=pred_text,
-        pred_assoc_pairs=pred_assoc,
-        pred_judgements=aligned_preds if gold.table_judgements else None,
-        retrieved_boxes=retrieved,
-    )
+    report = evaluate(gold, pred_raw, retrieved)
     _dump(report.to_dict(), Path(args.out) if args.out else None)
     sys.stderr.write(report.as_table() + "\n")
     return 0

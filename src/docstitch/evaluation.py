@@ -302,6 +302,23 @@ def bbox_scores(retrieved: Sequence[PageBox], gold: Sequence[PageBox]) -> BBoxSc
 # -- gold annotations and the aggregate report ---------------------------
 
 
+def _read_structures(d: dict) -> dict:
+    """The subtask fields that gold and prediction files share, typed."""
+    return {
+        "hierarchy": {int(k): int(v) for k, v in d.get("hierarchy", {}).items()},
+        "text_pairs": [(int(a), int(b)) for a, b in d.get("text_pairs", [])],
+        "assoc_pairs": [(int(a), int(b)) for a, b in d.get("assoc_pairs", [])],
+        "table_judgements": [
+            (int(j["upper_idx"]), int(j["lower_idx"]), [int(v) for v in j["judgement"]])
+            for j in d.get("table_judgements", [])
+        ],
+    }
+
+
+# What the readers raise on a missing key or a value of the wrong type or shape.
+_BAD_FIELD = (AttributeError, KeyError, TypeError, ValueError)
+
+
 @dataclass
 class GoldAnnotations:
     """Per-document gold structures for every subtask (fixture format v1)."""
@@ -321,19 +338,13 @@ class GoldAnnotations:
                 raise SchemaMismatch(f"unsupported annotation version {d['format_version']}")
             return cls(
                 doc_id=str(d["doc_id"]),
-                hierarchy={int(k): int(v) for k, v in d.get("hierarchy", {}).items()},
                 titles={int(k): str(v) for k, v in d.get("titles", {}).items()},
-                text_pairs=[(int(a), int(b)) for a, b in d.get("text_pairs", [])],
-                assoc_pairs=[(int(a), int(b)) for a, b in d.get("assoc_pairs", [])],
-                table_judgements=[
-                    (int(j["upper_idx"]), int(j["lower_idx"]), [int(v) for v in j["judgement"]])
-                    for j in d.get("table_judgements", [])
-                ],
                 evidence_gold=[
                     (int(p), [float(v) for v in box]) for p, box in d.get("evidence_gold", [])
                 ],
+                **_read_structures(d),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             raise SchemaMismatch(f"bad gold annotation file: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -396,27 +407,35 @@ class EvalReport:
 
 def evaluate(
     gold: GoldAnnotations,
-    pred_hierarchy: Optional[dict[int, int]] = None,
-    pred_titles: Optional[dict[int, str]] = None,
-    pred_text_pairs: Optional[Iterable[tuple[int, int]]] = None,
-    pred_assoc_pairs: Optional[Iterable[tuple[int, int]]] = None,
-    pred_judgements: Optional[Sequence[Sequence[int]]] = None,
+    predictions: dict,
     retrieved_boxes: Optional[Sequence[PageBox]] = None,
 ) -> EvalReport:
-    """Score predictions against a gold annotation set, metric by metric."""
+    """Score a predictions-file object (``DocumentPredictions.to_dict()``
+    form) against a gold annotation set, metric by metric.
+
+    Table judgements align on gold's candidate pairs; a pair the
+    predictions lack counts as ``[]`` (not a continuation).  TEDS is scored
+    only when gold has a hierarchy, merge accuracy only when gold has table
+    judgements, bbox scores only when boxes are given and gold has evidence.
+    """
+    try:
+        pred = _read_structures(predictions)
+    except _BAD_FIELD as exc:
+        raise SchemaMismatch(f"bad prediction file: {exc}") from exc
     report = EvalReport(doc_id=gold.doc_id)
-    if pred_hierarchy is not None and gold.hierarchy:
-        titles = pred_titles or gold.titles
-        pred_tree = hierarchy_tree(pred_hierarchy, titles)
-        gold_tree = hierarchy_tree(gold.hierarchy, gold.titles or titles)
-        report.teds = teds(pred_tree, gold_tree)
-    if pred_text_pairs is not None:
-        report.text_prf = pair_prf(pred_text_pairs, gold.text_pairs)
-    if pred_assoc_pairs is not None:
-        report.assoc_prf = pair_prf(pred_assoc_pairs, gold.assoc_pairs)
-    if pred_judgements is not None:
-        golds = [j for _, _, j in gold.table_judgements]
-        report.merge = merge_accuracy(pred_judgements, golds)
+    if gold.hierarchy:
+        report.teds = teds(
+            hierarchy_tree(pred["hierarchy"], gold.titles),
+            hierarchy_tree(gold.hierarchy, gold.titles),
+        )
+    report.text_prf = pair_prf(pred["text_pairs"], gold.text_pairs)
+    report.assoc_prf = pair_prf(pred["assoc_pairs"], gold.assoc_pairs)
+    if gold.table_judgements:
+        judged = {(u, l): j for u, l, j in pred["table_judgements"]}
+        report.merge = merge_accuracy(
+            [judged.get((u, l), []) for u, l, _ in gold.table_judgements],
+            [j for _, _, j in gold.table_judgements],
+        )
     if retrieved_boxes is not None and gold.evidence_gold:
         report.bbox = bbox_scores(retrieved_boxes, gold.evidence_gold)
     return report

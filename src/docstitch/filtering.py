@@ -13,7 +13,6 @@ from typing import Optional
 
 from .errors import TableHtmlUnparseable
 from .model import (
-    BBox,
     CanonicalDocument,
     CanonicalElement,
     ElementType,
@@ -53,24 +52,12 @@ class FilterConfig:
     row_window: int = 3
 
 
-class BoundaryKind:
-    PAGE_BREAK = "page_break"
-    COLUMN_BREAK = "column_break"
-    INTERLEAVED_BLOCK = "interleaved_block"
-    SAME_FLOW = "same_flow"
-
-
 @dataclass(frozen=True)
 class TextPairCandidate:
-    src_idx: int
-    tgt_idx: int
+    src: CanonicalElement
+    tgt: CanonicalElement
     src_tail: str
     tgt_head: str
-    boundary_kind: str
-    src_page: int = 0
-    tgt_page: int = 0
-    src_bbox: Optional[BBox] = None
-    tgt_bbox: Optional[BBox] = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +68,6 @@ class TablePairCandidate:
     lower_caption: Optional[str]
     upper_rows: TableGrid  # the upper table's last rows
     lower_rows: TableGrid  # the lower table's first rows
-    width_ratio: float
 
 
 @dataclass
@@ -120,20 +106,6 @@ def filter_association_candidates(
     return [e for e in _scoped(doc, pages, index) if e.etype in wanted]
 
 
-def _boundary_kind(
-    src: CanonicalElement, tgt: CanonicalElement, between: list[CanonicalElement]
-) -> str:
-    if tgt.page != src.page:
-        return BoundaryKind.PAGE_BREAK
-    if between:
-        return BoundaryKind.INTERLEAVED_BLOCK
-    # Same page, directly adjacent: a jump up or to a fresh x-range is a
-    # column transition.
-    if tgt.bbox[0] >= src.bbox[2] or tgt.bbox[3] <= src.bbox[1]:
-        return BoundaryKind.COLUMN_BREAK
-    return BoundaryKind.SAME_FLOW
-
-
 def filter_text_truncation_candidates(
     doc: CanonicalDocument,
     cfg: Optional[FilterConfig] = None,
@@ -146,35 +118,15 @@ def filter_text_truncation_candidates(
     the tgt opens cleanly (list/number prefix or uppercase sentence opener);
     requiring both keeps ambiguous pairs for the predictor.
     """
-    cfg = cfg or FilterConfig()
-    rules = cfg.rules
-    scoped = _scoped(doc, pages, index)
-    texts = [e for e in scoped if e.etype is ElementType.TEXT]
-    by_idx = {e.idx: e for e in scoped}
-
-    out: list[TextPairCandidate] = []
-    for src, tgt in zip(texts, texts[1:]):
-        if rules.ends_terminated(src.content) and rules.clean_opener(tgt.content):
-            continue
-        between = [
-            by_idx[i]
-            for i in range(src.idx + 1, tgt.idx)
-            if i in by_idx
-        ]
-        out.append(
-            TextPairCandidate(
-                src_idx=src.idx,
-                tgt_idx=tgt.idx,
-                src_tail=rules.last_sentence(src.content),
-                tgt_head=rules.first_sentence(tgt.content),
-                boundary_kind=_boundary_kind(src, tgt, between),
-                src_page=src.page,
-                tgt_page=tgt.page,
-                src_bbox=src.bbox,
-                tgt_bbox=tgt.bbox,
-            )
+    rules = (cfg or FilterConfig()).rules
+    texts = [e for e in _scoped(doc, pages, index) if e.etype is ElementType.TEXT]
+    return [
+        TextPairCandidate(
+            src, tgt, rules.last_sentence(src.content), rules.first_sentence(tgt.content)
         )
-    return out
+        for src, tgt in zip(texts, texts[1:])
+        if not (rules.ends_terminated(src.content) and rules.clean_opener(tgt.content))
+    ]
 
 
 def _boundary_table(elements: list[CanonicalElement], tail: bool) -> Optional[CanonicalElement]:
@@ -243,8 +195,8 @@ def filter_table_truncation_candidates(
 
         upper_w = upper.bbox[2] - upper.bbox[0]
         lower_w = lower.bbox[2] - lower.bbox[0]
-        width_ratio = lower_w / upper_w if upper_w > 0 else 0.0
-        if not (cfg.width_band[0] <= width_ratio <= cfg.width_band[1]):
+        ratio = lower_w / upper_w if upper_w > 0 else 0.0
+        if not (cfg.width_band[0] <= ratio <= cfg.width_band[1]):
             continue
 
         try:
@@ -269,7 +221,6 @@ def filter_table_truncation_candidates(
                 lower_caption=lower_caption,
                 upper_rows=upper_grid.row_window(cfg.row_window, tail=True),
                 lower_rows=lower_grid.row_window(cfg.row_window, tail=False),
-                width_ratio=width_ratio,
             )
         )
     return result

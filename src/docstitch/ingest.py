@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Union
 
 from .errors import BBoxInvalid, MalformedInput, SchemaUnknown
 from .model import (
@@ -148,11 +148,12 @@ def _as_block_list(raw_doc: Union[dict, list]) -> tuple[list[dict], dict]:
     raise MalformedInput(f"raw document must be a JSON array or object, got {type(raw_doc).__name__}")
 
 
-def _check_block_strings(pos: int, *values: Optional[str]) -> None:
+def _checked(where: str, convert: Callable[..., Any], *values: Any) -> Any:
+    """``convert(*values)``; a value it rejects is MalformedInput naming ``where``."""
     try:
-        check_strings(*values)
-    except ValueError as exc:
-        raise MalformedInput(f"block #{pos} has a bad field: {exc}") from exc
+        return convert(*values)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{where}: {exc}") from exc
 
 
 def normalize_elements(
@@ -179,7 +180,7 @@ def normalize_elements(
         if raw_label is None:
             raise MalformedInput(f"block #{pos} is missing its type field")
         raw_label = str(raw_label)
-        _check_block_strings(pos, raw_label)
+        _checked(f"block #{pos} has a bad field", check_strings, raw_label)
         if raw_label in profile.drop_labels:
             report.dropped.append({"position": pos, "label": raw_label})
             continue
@@ -210,14 +211,14 @@ def normalize_elements(
         asset_ref = profile.pick(block, "asset_ref")
         asset_ref = None if asset_ref is None else str(asset_ref)
         # Only strings that reach an artifact: a dropped block keeps its label.
-        _check_block_strings(pos, content, table_html, asset_ref)
+        _checked(f"block #{pos} has a bad field", check_strings, content, table_html, asset_ref)
 
         elements.append(
             CanonicalElement(
                 idx=idx,
                 etype=etype,
                 content=content,
-                page=int(page),
+                page=_checked(f"block #{pos} has a bad page field", int, page),
                 bbox=bbox,  # type: ignore[arg-type]
                 table_html=table_html,
                 asset_ref=asset_ref,
@@ -229,16 +230,14 @@ def normalize_elements(
     page_count = meta.get("page_count")
     if page_count is None:
         page_count = max((e.page for e in elements), default=0) + 1
-    coord_unit = CoordUnit(meta.get("coord_unit", "pixel"))
     doc_id = str(meta.get("doc_id", doc_id))
-    try:
-        check_strings(doc_id)
-    except ValueError as exc:
-        raise MalformedInput(f"document has a bad doc_id: {exc}") from exc
+    _checked("document has a bad doc_id", check_strings, doc_id)
     document = CanonicalDocument(
         doc_id=doc_id,
-        page_count=int(page_count),
-        coord_unit=coord_unit,
+        page_count=_checked("document has a bad page_count", int, page_count),
+        coord_unit=_checked(
+            "document has a bad coord_unit", CoordUnit, meta.get("coord_unit", "pixel")
+        ),
         source_schema=profile.name,
         elements=elements,
     )

@@ -26,7 +26,7 @@ from .chunking import (
     plan_chunks,
     synchronize_hierarchy,
 )
-from .errors import ColumnMismatch, ConfigError, TableHtmlUnparseable
+from .errors import ConfigError
 from .filtering import (
     ASSOCIATION_TYPES,
     FilterConfig,
@@ -131,6 +131,13 @@ def _int(value: Any) -> int:
     return value
 
 
+def _count(value: Any) -> int:
+    value = _int(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _float(value: Any) -> float:
     # float() would take True as 1.0 and "1e1" as 10.0.
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -179,7 +186,7 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
     ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", _int),
     ("filters", "width_band"): ("filters.width_band", _band),
     ("filters", "continuation_markers"): ("filters.continuation_markers", _strings),
-    ("filters", "row_window"): ("filters.row_window", _int),
+    ("filters", "row_window"): ("filters.row_window", _count),
 }
 
 
@@ -458,16 +465,7 @@ def apply_predictions(
     the tables the chunk filters parsed."""
     resolved = ResolvedDocument.from_document(doc)
     apply_mod.merge_text(resolved, predictions.text_pairs)
-
-    if predictions.table_judgements:
-        by_idx = resolved.index()
-        for upper, lower, columns in predictions.table_judgements:
-            try:
-                apply_mod.merge_tables(resolved, upper, lower, columns, by_idx, grids)
-            except (ColumnMismatch, TableHtmlUnparseable) as exc:
-                resolved.flags.append(f"TableMergeSkipped:{upper}->{lower}:{exc.message}")
-        resolved.rebuild(by_idx)
-
+    apply_mod.merge_tables(resolved, predictions.table_judgements, grids)
     apply_mod.assign_levels(resolved, predictions.hierarchy)
     apply_mod.attach_links(resolved, predictions.assoc_pairs)
     return resolved

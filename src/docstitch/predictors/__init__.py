@@ -76,7 +76,7 @@ def filter_candidate_pairs(
     pairs: list[tuple[int, int]], candidates: list[TextPairCandidate]
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Keep only pairs present in the candidate set; return (kept, dropped)."""
-    allowed = {(c.src_idx, c.tgt_idx) for c in candidates}
+    allowed = {(c.src.idx, c.tgt.idx) for c in candidates}
     kept, dropped = [], []
     for pair in pairs:
         (kept if pair in allowed else dropped).append(pair)
@@ -139,12 +139,12 @@ class FallbackPredictor(Predictor):
         self.fallback = fallback
         self.warnings: list[str] = []
 
-    def _guard(self, method: str, req, *args):
+    def _guard(self, method: str, req):
         try:
-            return getattr(self.primary, method)(req, *args)
+            return getattr(self.primary, method)(req)
         except (BackendUnavailable, MalformedResponse) as exc:
             self.warnings.append(f"{method}: {self.primary.name} failed ({exc.message}); used {self.fallback.name}")
-            result = getattr(self.fallback, method)(req, *args)
+            result = getattr(self.fallback, method)(req)
             result.flags.append(f"degraded:{self.primary.name}->{self.fallback.name}")
             return result
 

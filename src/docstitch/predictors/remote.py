@@ -101,13 +101,13 @@ class RemotePredictor(Predictor):
         raise last
 
     @staticmethod
-    def _block(idx: int, etype: str, content: str, page: int, bbox) -> dict:
+    def _block(e: CanonicalElement, etype: str, content: str) -> dict:
         return {
-            "idx": idx,
+            "idx": e.idx,
             "type": etype,
             "content": content,
-            "page": page,
-            "bbox": list(bbox) if bbox is not None else None,
+            "page": e.page,
+            "bbox": list(e.bbox),
         }
 
     # -- subtasks -------------------------------------------------------
@@ -115,7 +115,7 @@ class RemotePredictor(Predictor):
     def predict_title_hierarchy(self, req: list[CanonicalElement]) -> HierarchyPrediction:
         body = {
             "task": "title_hierarchy",
-            "blocks": [self._block(t.idx, "title", t.content, t.page, t.bbox) for t in req],
+            "blocks": [self._block(t, "title", t.content) for t in req],
         }
 
         def parse(data: object) -> HierarchyPrediction:
@@ -154,24 +154,17 @@ class RemotePredictor(Predictor):
     def predict_text_truncation(self, req: list[TextPairCandidate]) -> PairPrediction:
         # One block per distinct element; long middles are already elided by
         # the filter, so content is head/tail sentences only.
-        heads = {c.tgt_idx: c.tgt_head for c in req}
-        tails = {c.src_idx: c.src_tail for c in req}
+        heads = {c.tgt.idx: c.tgt_head for c in req}
+        tails = {c.src.idx: c.src_tail for c in req}
+        elements = {e.idx: e for c in req for e in (c.src, c.tgt)}  # first-seen order
         blocks = []
-        seen: set[int] = set()
-        for cand in req:
-            for idx, page, bbox in (
-                (cand.src_idx, cand.src_page, cand.src_bbox),
-                (cand.tgt_idx, cand.tgt_page, cand.tgt_bbox),
-            ):
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                head, tail = heads.get(idx), tails.get(idx)
-                if head and tail and head != tail:
-                    content = f"{head} ... {tail}"
-                else:
-                    content = head or tail or ""
-                blocks.append(self._block(idx, "text", content, page, bbox))
+        for idx, e in elements.items():
+            head, tail = heads.get(idx), tails.get(idx)
+            if head and tail and head != tail:
+                content = f"{head} ... {tail}"
+            else:
+                content = head or tail or ""
+            blocks.append(self._block(e, "text", content))
         body = {"task": "text_truncation", "blocks": blocks}
 
         def parse(data: object) -> PairPrediction:
@@ -185,9 +178,7 @@ class RemotePredictor(Predictor):
     def predict_association(self, req: list[CanonicalElement]) -> PairPrediction:
         body = {
             "task": "association",
-            "blocks": [
-                self._block(it.idx, it.etype.value, it.content, it.page, it.bbox) for it in req
-            ],
+            "blocks": [self._block(it, it.etype.value, it.content) for it in req],
         }
 
         def parse(data: object) -> PairPrediction:

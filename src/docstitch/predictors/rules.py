@@ -132,7 +132,7 @@ class RulePredictor(Predictor):
                 continue
             ch = head[0]
             if (ch.isalpha() and ch.islower()) or is_cjk(ch):
-                pairs.append((cand.src_idx, cand.tgt_idx))
+                pairs.append((cand.src.idx, cand.tgt.idx))
         return PairPrediction(pairs=pairs)
 
     # -- association ----------------------------------------------------

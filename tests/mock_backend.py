@@ -32,9 +32,10 @@ class MockBackend:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802  (stdlib naming)
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length).decode("utf-8"))
+                raw = self.rfile.read(length)
+                body = json.loads(raw.decode("utf-8"))
                 backend.requests.append(
-                    {"body": body, "headers": dict(self.headers.items())}
+                    {"body": body, "raw": raw, "headers": dict(self.headers.items())}
                 )
                 # summarizer requests carry node_id instead of a task tag
                 task = body.get("task", "summarize" if "node_id" in body else "?")

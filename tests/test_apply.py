@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from functools import reduce
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from docstitch.apply import (
     merge_tables,
     merge_text,
 )
-from docstitch.errors import ColumnMismatch
 from docstitch.model import ElementType
 from docstitch.textrules import join_fragments
 
@@ -102,7 +100,7 @@ def _table_doc():
 
 def test_merge_tables_partial_fusion():
     d = _table_doc()
-    r = merge_tables(_resolved(d), 0, 1, [0, 1, 0])
+    r = merge_tables(_resolved(d), [(0, 1, [0, 1, 0])])
     assert len(r.elements) == 1
     merged = r.elements[0]
     assert "2023-01-15" in (merged.table_html or "")
@@ -113,12 +111,12 @@ def test_merge_tables_partial_fusion():
 
 def test_merge_tables_empty_judgement_is_noop():
     d = _table_doc()
-    r = merge_tables(_resolved(d), 0, 1, [])
+    r = merge_tables(_resolved(d), [(0, 1, [])])
     assert len(r.elements) == 2
     assert r.merge_log.records == []
 
 
-def test_merge_tables_column_mismatch_raises():
+def test_merge_tables_column_mismatch_flagged():
     d = stack_elements(
         "t",
         [
@@ -126,15 +124,17 @@ def test_merge_tables_column_mismatch_raises():
             ("table", "", 1, {"table_html": "<table><tr><td>a</td><td>b</td></tr></table>"}),
         ],
     )
-    with pytest.raises(ColumnMismatch):
-        merge_tables(_resolved(d), 0, 1, [1])
+    r = merge_tables(_resolved(d), [(0, 1, [1])])
+    assert len(r.elements) == 2
+    assert r.merge_log.records == []
+    assert r.flags == ["TableMergeSkipped:0->1:column counts differ: 1 vs 2"]
 
 
 def test_merge_tables_conservation_check(corpus):
     # exercised against the real merged corpus docs in acceptance; here a
     # direct unit check on the partial fusion
     d = _table_doc()
-    r = merge_tables(_resolved(d), 0, 1, [0, 1, 0])
+    r = merge_tables(_resolved(d), [(0, 1, [0, 1, 0])])
     assert check_table_conservation(d, r) == []
 
 
@@ -203,7 +203,7 @@ def test_attach_links_remaps_absorbed_idx():
         ],
     )
     r = _resolved(d)
-    merge_tables(r, 1, 2, [0, 0, 0])
+    merge_tables(r, [(1, 2, [0, 0, 0])])
     attach_links(r, [(3, 2), (2, 0)])
     # caption pointed at the absorbed lower table; resolves to the survivor
     assert r.caption_links == {3: 1}

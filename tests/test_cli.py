@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,7 @@ def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
         {"chunking": {"stride": 2.5, "threshold": "1"}},
         {"predictor": {"timeout_s": True}},
         {"filters": {"width_band": ["0.5", True]}},
+        {"filters": {"row_window": -1}},
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -127,20 +130,30 @@ def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
 def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
     element = {"idx": 0, "content": "x", "page": 0, "bbox": [0, 0, 1, 1]}
     typed = {**element, "type": "table"}
-    for bad in (
-        element,
-        {**typed, "type": "bogus"},
-        {**typed, "page": "p"},
-        {**typed, "content": 7},
-        {**typed, "table_html": 5},
-    ):
+    block = {"type": "text", "text": "x", "page_idx": 0, "bbox": [0, 0, 1, 1]}
+    cases = [
+        ({"doc_id": "d", "page_count": 1, "elements": [bad]}, "element #0 ")
+        for bad in (
+            element,
+            {**typed, "type": "bogus"},
+            {**typed, "page": "p"},
+            {**typed, "content": 7},
+            {**typed, "table_html": 5},
+        )
+    ] + [
+        # Raw MinerU blocks: a bad page, coordinate unit or page count.
+        ([{**block, "page_idx": "one"}], "block #0 has a bad page field"),
+        ({"blocks": [block], "coord_unit": "inches"}, "document has a bad coord_unit"),
+        ({"blocks": [block], "page_count": "x"}, "document has a bad page_count"),
+    ]
+    for raw, where in cases:
         doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps({"doc_id": "d", "page_count": 1, "elements": [bad]}))
-        code = run_cli("process", str(doc), "--out-dir", str(tmp_path / "out"))
+        doc.write_text(json.dumps(raw))
+        code = run_cli("process", str(doc), "--profile", "mineru", "--out-dir", str(tmp_path / "out"))
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "ingest.MalformedInput"
-        assert err["error"]["message"].startswith("element #0 ")
+        assert err["error"]["message"].startswith(where)
 
 
 @pytest.mark.parametrize("kind", ["canonical", "mineru"])
@@ -277,6 +290,15 @@ def test_eval_corrupted_gold_fails_with_schema_mismatch(tmp_path, capsys):
     assert err["error"]["code"] == "eval.SchemaMismatch"
 
 
+def test_eval_wrong_shaped_predictions_fail_with_schema_mismatch(tmp_path, capsys):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"hierarchy": [1, 2]}))
+    code = run_cli("eval", "--pred", str(pred), "--gold", str(GOLD_DIR / "field_manual.gold.json"))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "eval.SchemaMismatch"
+
+
 def test_export_markdown_from_tree_artifact(tmp_path):
     out = tmp_path / "again.md"
     code = run_cli(
@@ -341,3 +363,15 @@ def test_process_artifacts_match_pinned_digests(tmp_path):
         for suffix, digest in digests.items():
             got = hashlib.sha256((tmp_path / f"{doc_id}.{suffix}").read_bytes()).hexdigest()
             assert got == digest, f"{doc_id}.{suffix}"
+
+
+def test_make_corpus_check_reports_no_difference():
+    # Regenerates the corpus, gold files, goldens, pinned scores and digests
+    # in a temporary directory and compares them byte for byte with
+    # tests/fixtures/, so drift in any of them fails here.
+    tool = Path(__file__).resolve().parent.parent / "tools" / "make_corpus.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--check"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("no difference:")

@@ -11,6 +11,7 @@ from docstitch.evaluation import (
     GoldAnnotations,
     LabeledTree,
     bbox_scores,
+    evaluate,
     hierarchy_tree,
     merge_accuracy,
     pair_prf,
@@ -236,3 +237,31 @@ def test_gold_annotations_bad_file_raises():
         GoldAnnotations.from_dict({"format_version": 1})  # missing doc_id
     with pytest.raises(SchemaMismatch):
         GoldAnnotations.from_dict({"doc_id": "x", "table_judgements": [{"nope": 1}]})
+    with pytest.raises(SchemaMismatch):
+        GoldAnnotations.from_dict({"doc_id": "x", "hierarchy": [1]})  # not an object
+
+
+def test_evaluate_aligns_table_judgements_on_gold_pairs():
+    gold = GoldAnnotations(doc_id="d", table_judgements=[(1, 2, [0, 1]), (5, 6, [])])
+    # (5, 6) is missing, so it counts as []; (8, 9) is not a gold pair.
+    predictions = {
+        "table_judgements": [
+            {"upper_idx": 8, "lower_idx": 9, "judgement": [1]},
+            {"upper_idx": 1, "lower_idx": 2, "judgement": [0, 1]},
+        ]
+    }
+    report = evaluate(gold, predictions)
+    assert report.merge == merge_accuracy([[0, 1], []], [[0, 1], []])
+    assert report.merge.vector == 1.0
+
+
+def test_evaluate_scores_only_what_gold_annotates():
+    gold = GoldAnnotations(doc_id="d", text_pairs=[(1, 2)])
+    report = evaluate(gold, {"hierarchy": {"0": 1}, "text_pairs": [[1, 2]]}, [(0, [0, 0, 1, 1])])
+    assert (report.teds, report.merge, report.bbox) == (None, None, None)
+    assert report.text_prf.f1 == 1.0
+    assert report.assoc_prf == pair_prf([], [])
+
+    gold = GoldAnnotations(doc_id="d", hierarchy={0: 1}, titles={0: "A"})
+    assert evaluate(gold, {"hierarchy": {"0": 1}}).teds == 1.0
+

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from docstitch.filtering import (
-    BoundaryKind,
     FilterConfig,
     filter_association_candidates,
     filter_table_truncation_candidates,
@@ -102,10 +101,9 @@ def test_unterminated_pair_becomes_candidate_with_tail_and_head():
     cands = filter_text_truncation_candidates(d)
     assert len(cands) == 1
     c = cands[0]
-    assert (c.src_idx, c.tgt_idx) == (0, 1)
+    assert (c.src, c.tgt) == (d.elements[0], d.elements[1])
     assert c.src_tail == "And the proposed meth"
     assert c.tgt_head == "od achieves more."
-    assert c.boundary_kind == BoundaryKind.PAGE_BREAK
 
 
 def test_golden_fixture_14_pairs_5_candidates(field_manual):
@@ -113,32 +111,15 @@ def test_golden_fixture_14_pairs_5_candidates(field_manual):
     assert len(texts) == 15  # hence 14 adjacent pairs
     cands = filter_text_truncation_candidates(field_manual)
     # hand application of the exclusion rule to the fixture
-    assert [(c.src_idx, c.tgt_idx) for c in cands] == [
+    assert [(c.src.idx, c.tgt.idx) for c in cands] == [
         (9, 10), (15, 20), (22, 24), (27, 29), (42, 45),
     ]
 
 
 def test_each_adjacent_pair_emitted_at_most_once(field_manual):
     cands = filter_text_truncation_candidates(field_manual)
-    keys = [(c.src_idx, c.tgt_idx) for c in cands]
+    keys = [(c.src.idx, c.tgt.idx) for c in cands]
     assert len(keys) == len(set(keys))
-
-
-def test_boundary_kinds():
-    d = stack_elements(
-        "t",
-        [
-            ("text", "left column bottom contin", 0, {"bbox": (60, 400, 290, 440)}),
-            ("text", "ues at top right", 0, {"bbox": (310, 40, 540, 80)}),
-            ("text", "then an image splits the", 1),
-            ("image", "", 1, {"asset_ref": "x.png"}),
-            ("text", "following sentence badly", 1),
-        ],
-    )
-    cands = filter_text_truncation_candidates(d)
-    kinds = {(c.src_idx, c.tgt_idx): c.boundary_kind for c in cands}
-    assert kinds[(0, 1)] == BoundaryKind.COLUMN_BREAK
-    assert kinds[(2, 4)] == BoundaryKind.INTERLEAVED_BLOCK
 
 
 def _table_doc(upper_html, lower_html, lower_caption=None, upper_bbox=None, lower_bbox=None):
@@ -162,7 +143,6 @@ def test_matching_boundary_tables_become_candidate():
     assert len(result.candidates) == 1
     cand = result.candidates[0]
     assert (cand.upper_rows.n_cols, cand.lower_rows.n_cols) == (5, 5)
-    assert 0.9 <= cand.width_ratio <= 1.1
 
 
 def test_mismatched_columns_without_marker_rejected():
@@ -206,7 +186,7 @@ def test_filters_are_projections(field_manual):
     assert {t.idx for t in filter_titles(field_manual)} <= all_idx
     assert {i.idx for i in filter_association_candidates(field_manual)} <= all_idx
     for c in filter_text_truncation_candidates(field_manual):
-        assert {c.src_idx, c.tgt_idx} <= all_idx
+        assert {c.src.idx, c.tgt.idx} <= all_idx
 
 
 def test_table_candidates_span_exactly_one_page_boundary(field_manual, corpus):

@@ -297,6 +297,7 @@ def test_config_rejects_bad_modes_and_ranges():
         {"chunking": {"stride": 8.0}},
         {"tree": {"summary_cap_chars": "300"}},
         {"filters": {"row_window": False}},
+        {"filters": {"row_window": -1}},
         {"predictor": {"timeout_s": True}},
         {"predictor": {"timeout_s": "1e1"}},
         {"filters": {"width_band": ["0.5", 1.0]}},

@@ -94,7 +94,7 @@ def test_text_truncation_pair_subset_of_candidates(rules, corpus):
     for doc in corpus.values():
         cands = filter_text_truncation_candidates(doc)
         pred = rules.predict_text_truncation(cands)
-        assert set(pred.pairs) <= {(c.src_idx, c.tgt_idx) for c in cands}
+        assert set(pred.pairs) <= {(c.src.idx, c.tgt.idx) for c in cands}
 
 
 def test_association_same_page_caption(rules):
@@ -158,7 +158,6 @@ def _cand(upper_rows, lower_rows, lower_caption=None):
         lower_caption=lower_caption,
         upper_rows=parse_table(upper_rows),
         lower_rows=parse_table(lower_rows),
-        width_ratio=1.0,
     )
 
 

@@ -4,12 +4,14 @@ import pytest
 
 from docstitch.errors import BackendUnavailable, MalformedResponse
 from docstitch.filtering import (
+    FilterConfig,
     filter_association_candidates,
     filter_text_truncation_candidates,
     filter_titles,
 )
 from docstitch.predictors import FallbackPredictor, RulePredictor
 from docstitch.predictors.remote import RemotePredictor
+from docstitch.textrules import TextRules
 
 from .helpers import stack_elements
 from .mock_backend import MockBackend, Seq
@@ -72,12 +74,30 @@ def test_duplicate_idx_is_malformed(small_doc):
 
 def test_pairs_outside_candidate_set_dropped_and_flagged(small_doc):
     cands = filter_text_truncation_candidates(small_doc)
-    assert [(c.src_idx, c.tgt_idx) for c in cands] == [(1, 2)]
+    assert [(c.src.idx, c.tgt.idx) for c in cands] == [(1, 2)]
     resp = [{"src": 1, "tgt": 2, "reason": "ok"}, {"src": 9, "tgt": 10, "reason": "bogus"}]
     with MockBackend({"text_truncation": resp}) as be:
         pred = RemotePredictor(be.url).predict_text_truncation(cands)
         assert pred.pairs == [(1, 2)]
         assert pred.flags == ["dropped_non_candidate:9->10"]
+
+
+def test_text_truncation_request_bytes_are_pinned(corpus):
+    # audit_report holds the chain 2 -> 3 -> 4, so element 3 is sent once,
+    # and a 12-character sentence cap makes its head and tail differ.
+    cfg = FilterConfig(rules=TextRules(sentence_cap_chars=12))
+    cands = filter_text_truncation_candidates(corpus["audit_report"], cfg)
+    with MockBackend({"text_truncation": []}) as be:
+        RemotePredictor(be.url).predict_text_truncation(cands)
+        assert be.requests[0]["raw"] == (
+            b'{"task": "text_truncation", "blocks": ['
+            b'{"idx": 2, "type": "text", "content": "shows a sys-", "page": 0, '
+            b'"bbox": [60.0, 140.0, 540.0, 180.0]}, '
+            b'{"idx": 3, "type": "text", "content": "tematic roun ... that accumu-", '
+            b'"page": 1, "bbox": [60.0, 40.0, 540.0, 80.0]}, '
+            b'{"idx": 4, "type": "text", "content": "lates across", "page": 1, '
+            b'"bbox": [60.0, 90.0, 540.0, 130.0]}]}'
+        )
 
 
 def test_association_type_rule_violations_dropped(small_doc):
@@ -97,7 +117,7 @@ def test_table_judgement_length_mismatch_degrades_to_empty():
     from docstitch.tables import parse_table
 
     cand = TablePairCandidate(1, 2, None, None, parse_table("<tr><td>a</td><td>b</td></tr>"),
-                              parse_table("<tr><td>c</td><td>d</td></tr>"), 1.0)
+                              parse_table("<tr><td>c</td><td>d</td></tr>"))
     with MockBackend({"table_truncation": [{"judgement": [1, 0, 1]}]}) as be:
         pred = RemotePredictor(be.url).predict_table_truncation(cand)
         assert pred.columns == []

@@ -634,24 +634,7 @@ def generate(fixtures: Path) -> None:
             export_markdown(result.tree), encoding="utf-8"
         )
 
-        annotations = GoldAnnotations.from_dict(gold)
-        aligned = {
-            (u, l): j
-            for u, l, j in (
-                (j[0], j[1], j[2]) for j in result.predictions.table_judgements
-            )
-        }
-        eval_report = evaluate(
-            annotations,
-            pred_hierarchy=result.predictions.hierarchy if annotations.hierarchy else None,
-            pred_text_pairs=result.predictions.text_pairs,
-            pred_assoc_pairs=result.predictions.assoc_pairs,
-            pred_judgements=[
-                aligned.get((u, l), []) for u, l, _ in annotations.table_judgements
-            ]
-            if annotations.table_judgements
-            else None,
-        )
+        eval_report = evaluate(GoldAnnotations.from_dict(gold), result.predictions.to_dict())
         scores[doc.doc_id] = eval_report.to_dict()
         digests[doc.doc_id] = artifact_digests(corpus_dir / f"{doc.doc_id}.json")
         print(f"{doc.doc_id}: ok ({len(doc.elements)} elements)")
