@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import ConfigError, ConfigNotFound, DocstitchError, SchemaMismatch
 from .evaluation import GoldAnnotations, evaluate
-from .exporters import export_json, export_markdown, tree_from_json
+from .exporters import export_json, export_markdown, tree_from_dict
 from .ingest import normalize_elements
 from .jsonio import dumps_pretty
 from .model import CanonicalDocument, validate_document
@@ -57,7 +57,7 @@ def _read_json(path: Path) -> object:
         raise ConfigNotFound(f"file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -162,14 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not isinstance(pred_raw, dict) or not isinstance(gold_raw, dict):
         raise SchemaMismatch("prediction and gold files must hold JSON objects")
     gold = GoldAnnotations.from_dict(gold_raw)
-
-    retrieved = None
-    if args.retrieved:
-        loaded = _read_json(Path(args.retrieved))
-        if not isinstance(loaded, list):
-            raise SchemaMismatch("retrieved boxes file must hold a JSON array")
-        retrieved = [(int(p), [float(v) for v in box]) for p, box in loaded]
-
+    retrieved = _read_json(Path(args.retrieved)) if args.retrieved else None
     report = evaluate(gold, pred_raw, retrieved)
     _dump(report.to_dict(), Path(args.out) if args.out else None)
     sys.stderr.write(report.as_table() + "\n")
@@ -177,10 +170,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    path = Path(args.tree)
-    if not path.exists():
-        raise ConfigNotFound(f"file not found: {path}")
-    tree = tree_from_json(path.read_text(encoding="utf-8"))
+    tree = tree_from_dict(_read_json(Path(args.tree)))
     text = export_markdown(tree) if args.format == "markdown" else export_json(tree)
     if args.out:
         _write_text(Path(args.out), text)

@@ -315,6 +315,19 @@ def _read_structures(d: dict) -> dict:
     }
 
 
+def _read_page_boxes(raw: object) -> list[PageBox]:
+    """``[[page, [x0, y0, x1, y1]], ...]``, typed."""
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a list of [page, box] pairs, got {raw!r}")
+    boxes: list[PageBox] = []
+    for page, box in raw:
+        coords = [float(v) for v in box]
+        if len(coords) != 4:
+            raise ValueError(f"a box holds 4 numbers, got {box!r}")
+        boxes.append((int(page), coords))
+    return boxes
+
+
 # What the readers raise on a missing key or a value of the wrong type or shape.
 _BAD_FIELD = (AttributeError, KeyError, TypeError, ValueError)
 
@@ -339,9 +352,7 @@ class GoldAnnotations:
             return cls(
                 doc_id=str(d["doc_id"]),
                 titles={int(k): str(v) for k, v in d.get("titles", {}).items()},
-                evidence_gold=[
-                    (int(p), [float(v) for v in box]) for p, box in d.get("evidence_gold", [])
-                ],
+                evidence_gold=_read_page_boxes(d.get("evidence_gold", [])),
                 **_read_structures(d),
             )
         except _BAD_FIELD as exc:
@@ -408,7 +419,7 @@ class EvalReport:
 def evaluate(
     gold: GoldAnnotations,
     predictions: dict,
-    retrieved_boxes: Optional[Sequence[PageBox]] = None,
+    retrieved: Optional[list] = None,
 ) -> EvalReport:
     """Score a predictions-file object (``DocumentPredictions.to_dict()``
     form) against a gold annotation set, metric by metric.
@@ -417,11 +428,16 @@ def evaluate(
     predictions lack counts as ``[]`` (not a continuation).  TEDS is scored
     only when gold has a hierarchy, merge accuracy only when gold has table
     judgements, bbox scores only when boxes are given and gold has evidence.
+    ``retrieved`` is the raw ``[[page, [x0, y0, x1, y1]], ...]`` list.
     """
     try:
         pred = _read_structures(predictions)
     except _BAD_FIELD as exc:
         raise SchemaMismatch(f"bad prediction file: {exc}") from exc
+    try:
+        boxes = None if retrieved is None else _read_page_boxes(retrieved)
+    except _BAD_FIELD as exc:
+        raise SchemaMismatch(f"bad retrieved boxes: {exc}") from exc
     report = EvalReport(doc_id=gold.doc_id)
     if gold.hierarchy:
         report.teds = teds(
@@ -436,6 +452,6 @@ def evaluate(
             [judged.get((u, l), []) for u, l, _ in gold.table_judgements],
             [j for _, _, j in gold.table_judgements],
         )
-    if retrieved_boxes is not None and gold.evidence_gold:
-        report.bbox = bbox_scores(retrieved_boxes, gold.evidence_gold)
+    if boxes is not None and gold.evidence_gold:
+        report.bbox = bbox_scores(boxes, gold.evidence_gold)
     return report

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 
+from .errors import MalformedInput
 from .jsonio import dumps_pretty
-from .model import CanonicalElement, CoordUnit, ElementType
+from .model import CanonicalElement, CoordUnit, ElementType, check_strings
 from .tree import DocNode, DocTree, NodeKind
 
 FORMAT_VERSION = 1
@@ -46,11 +47,11 @@ def export_json(tree: DocTree) -> str:
 
 
 def _node_from_dict(d: dict) -> DocNode:
-    return DocNode(
+    node = DocNode(
         node_id=d["node_id"],
         kind=d["kind"],
-        level=d["level"],
-        anchor=d["anchor"],
+        level=int(d["level"]),
+        anchor=int(d["anchor"]),
         title_text=d.get("title"),
         title_path=list(d.get("title_path", [])),
         summary=d.get("summary"),
@@ -58,15 +59,28 @@ def _node_from_dict(d: dict) -> DocNode:
         bboxes=[(int(p), [float(v) for v in box]) for p, box in d.get("bboxes", [])],
         children=[_node_from_dict(c) for c in d.get("children", [])],
     )
+    check_strings(node.node_id, node.kind, node.title_text, node.summary, *node.title_path)
+    return node
+
+
+def tree_from_dict(doc: dict) -> DocTree:
+    """Raises MalformedInput naming a missing or unreadable field."""
+    try:
+        doc_id = doc["doc_id"]
+        check_strings(doc_id)
+        return DocTree(
+            doc_id=doc_id,
+            coord_unit=CoordUnit(doc["coord_unit"]),
+            root=_node_from_dict(doc["root"]),
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        if isinstance(exc, KeyError):
+            raise MalformedInput(f"tree is missing its {exc.args[0]} field") from exc
+        raise MalformedInput(f"tree has a bad field: {exc}") from exc
 
 
 def tree_from_json(text: str) -> DocTree:
-    doc = json.loads(text)
-    return DocTree(
-        doc_id=doc["doc_id"],
-        coord_unit=CoordUnit(doc["coord_unit"]),
-        root=_node_from_dict(doc["root"]),
-    )
+    return tree_from_dict(json.loads(text))
 
 
 def _render_visual(node: DocNode, out: list[str]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInput
 from .jsonio import dumps_pretty
@@ -133,12 +133,6 @@ class CanonicalDocument:
     elements: list[CanonicalElement]
     coord_unit: CoordUnit = CoordUnit.PIXEL
     source_schema: str = "generic"
-
-    def __iter__(self) -> Iterator[CanonicalElement]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def by_idx(self, idx: int) -> CanonicalElement:
         element = self.index().get(idx)

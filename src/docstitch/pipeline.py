@@ -10,6 +10,7 @@ completion order never affects output.
 from __future__ import annotations
 
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Optional
@@ -145,6 +146,15 @@ def _float(value: Any) -> float:
     return float(value)
 
 
+def _timeout(value: Any) -> float:
+    # 0 would make every socket non-blocking; past TIMEOUT_MAX (and for
+    # NaN) the socket cannot take the value at all.
+    value = _float(value)
+    if not 0 < value <= threading.TIMEOUT_MAX:
+        raise ValueError(f"expected a number of seconds > 0, got {value!r}")
+    return value
+
+
 def _str(value: Any) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -173,7 +183,7 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
     ("chunking", "threshold"): ("threshold", _int),
     ("predictor", "mode"): ("predictor_mode", _str),
     ("predictor", "backend_url"): ("backend_url", _str),
-    ("predictor", "timeout_s"): ("backend_timeout", _float),
+    ("predictor", "timeout_s"): ("backend_timeout", _timeout),
     ("predictor", "parallelism"): ("parallelism", _int),
     ("tree", "node_chunk_chars"): ("node_chunk_chars", _int),
     ("tree", "summarizer"): ("summarizer_mode", _str),

@@ -13,12 +13,13 @@ to the rule baseline instead of failing the run.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
-import threading
+import urllib.error
+import urllib.request
 from typing import Callable, Optional
-
-import requests
 
 from ..errors import BackendUnavailable, MalformedResponse
 from ..filtering import TablePairCandidate, TextPairCandidate
@@ -41,11 +42,10 @@ TOKEN_ENV_VAR = "DOCSTITCH_BACKEND_TOKEN"
 RETRIES = 1
 
 
-def post_json(
-    session: requests.Session, url: str, body: dict, timeout: float, service: str = "backend"
-) -> object:
+def post_json(url: str, body: dict, timeout: float, service: str = "backend") -> object:
     """POST ``body`` as JSON, with the bearer token from the environment,
-    and decode the JSON reply.
+    and decode the JSON reply.  Each call opens its own connection, so
+    concurrent callers share no state.
 
     Raises BackendUnavailable when ``service`` is unreachable or answers
     other than 200, and MalformedResponse when the reply is not JSON.
@@ -55,14 +55,23 @@ def post_json(
     if token:
         headers["Authorization"] = f"Bearer {token}"
     try:
-        resp = session.post(url, json=body, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        # Encoding, building and sending all fail alike: a bad URL or a NaN
+        # in the body degrades this request, it does not end the run.
+        if not url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"not an HTTP(S) URL: {url!r}")
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        request = urllib.request.Request(url, data=data, headers=headers)
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, payload = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        raise BackendUnavailable(f"{service} returned HTTP {exc.code}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise BackendUnavailable(f"{service} unreachable: {exc}") from exc
-    if resp.status_code != 200:
-        raise BackendUnavailable(f"{service} returned HTTP {resp.status_code}")
+    if status != 200:
+        raise BackendUnavailable(f"{service} returned HTTP {status}")
     try:
-        return resp.json()
-    except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+        return json.loads(payload)
+    except ValueError as exc:
         raise MalformedResponse(f"response is not JSON: {exc}") from exc
 
 
@@ -72,22 +81,9 @@ class RemotePredictor(Predictor):
     def __init__(self, url: str, timeout: float = 30.0):
         self.url = url
         self.timeout = timeout
-        self._local = threading.local()
-
-    # -- transport ------------------------------------------------------
-
-    @property
-    def session(self) -> requests.Session:
-        """The calling thread's session.  A ``requests.Session`` is not
-        thread-safe, and the pipeline's dispatch threads post concurrently,
-        so each thread gets its own (and its own connection pool)."""
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
 
     def _post(self, body: dict) -> object:
-        return post_json(self.session, self.url, body, self.timeout)
+        return post_json(self.url, body, self.timeout)
 
     def _call(self, body: dict, parse: Callable[[object], object]) -> object:
         last: Optional[MalformedResponse] = None

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-import requests
-
 from .apply import ResolvedDocument
 from .errors import BackendUnavailable, MalformedResponse
 from .model import (
@@ -26,9 +24,6 @@ from .model import (
 )
 from .predictors.remote import post_json
 from .textrules import TextRules
-
-BODY_TEXT_TYPES = (ElementType.TEXT, ElementType.FORMULA, ElementType.OTHER)
-
 
 class NodeKind:
     ROOT = "root"
@@ -271,12 +266,11 @@ class RemoteSummarizer(Summarizer):
         self.url = url
         self.timeout = timeout
         self.cap_chars = cap_chars
-        self.session = requests.Session()
 
     def summarize(self, node_id: str, title_path: list[str], paragraphs: list[str]) -> str:
         body = {"node_id": node_id, "title_path": title_path, "paragraphs": paragraphs}
         try:
-            data = post_json(self.session, self.url, body, self.timeout, service="summarizer")
+            data = post_json(self.url, body, self.timeout, service="summarizer")
         except MalformedResponse as exc:
             raise BackendUnavailable(f"summarizer {exc.message}") from exc
         if not isinstance(data, dict) or "summary" not in data:

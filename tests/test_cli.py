@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,12 +15,37 @@ import docstitch.cli
 from docstitch.cli import main
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
+from .mock_backend import MockBackend
 
 RAW = Path(__file__).parent / "fixtures" / "raw"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def run_cli_process(*argv, prelude: str = "") -> subprocess.CompletedProcess:
+    """``docstitch.cli.main(argv)`` in a fresh interpreter that runs
+    ``prelude`` first."""
+    code = f"import sys\n{prelude}\nfrom docstitch.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def answering_backend(**overrides) -> MockBackend:
+    """A backend that gives every title level 1 and finds no pairs."""
+    scripts = {
+        "title_hierarchy": lambda body: [{"idx": b["idx"], "level": 1} for b in body["blocks"]],
+        "text_truncation": [],
+        "association": [],
+        "table_truncation": [],
+    }
+    return MockBackend({**scripts, **overrides})
 
 
 def test_normalize_writes_canonical_json(tmp_path, capsys):
@@ -115,6 +143,8 @@ def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
         {"predictor": {"timeout_s": True}},
         {"filters": {"width_band": ["0.5", True]}},
         {"filters": {"row_window": -1}},
+        {"predictor": {"mode": "remote", "backend_url": "http://127.0.0.1:9/", "timeout_s": 0}},
+        {"predictor": {"mode": "remote", "backend_url": "http://127.0.0.1:9/", "timeout_s": -1}},
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -201,6 +231,109 @@ def test_process_remote_unreachable_degrades_to_rules(tmp_path):
     # output equals the rules-mode golden despite the dead backend
     got = (tmp_path / "memo_single.tree.json").read_bytes()
     assert got == (GOLDEN_DIR / "memo_single.tree.json").read_bytes()
+
+
+def degraded_warnings(out_dir: Path) -> list[str]:
+    report = json.loads((out_dir / "memo_single.report.json").read_text())
+    return [w for w in report["warnings"] if w.endswith(":degraded:remote->rules")]
+
+
+def test_process_remote_needs_nothing_outside_the_standard_library(tmp_path):
+    with answering_backend() as backend:
+        proc = run_cli_process(
+            "process", str(CORPUS_DIR / "memo_single.json"),
+            "--predictor", "remote", "--backend-url", backend.url, "--out-dir", str(tmp_path),
+            prelude="sys.modules['requests'] = None  # any import of requests now fails",
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert backend.requests
+    assert degraded_warnings(tmp_path) == []
+
+
+def test_process_malformed_backend_url_degrades(tmp_path):
+    proc = run_cli_process(
+        "process", str(CORPUS_DIR / "memo_single.json"),
+        "--predictor", "remote", "--backend-url", "not-a-url", "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert degraded_warnings(tmp_path) == [
+        "association[0]:degraded:remote->rules", "hierarchy[0]:degraded:remote->rules",
+    ]
+
+
+def test_process_nan_bbox_degrades_only_its_request(tmp_path):
+    doc = json.loads((CORPUS_DIR / "memo_single.json").read_text())
+    caption = next(e for e in doc["elements"] if e["type"] == "image_caption")
+    caption["bbox"] = ["NaN", 0, 100, 100]  # json.dumps(allow_nan=False) refuses it
+    path = tmp_path / "memo_single.json"
+    path.write_text(json.dumps(doc))
+    with answering_backend() as backend:
+        proc = run_cli_process(
+            "process", str(path), "--predictor", "remote", "--backend-url", backend.url,
+            "--out-dir", str(tmp_path / "out"),
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert degraded_warnings(tmp_path / "out") == ["association[0]:degraded:remote->rules"]
+    assert [r["body"]["task"] for r in backend.requests] == ["title_hierarchy"]
+
+
+def test_process_backend_slower_than_timeout_degrades(tmp_path):
+    released = threading.Event()
+
+    def slow(body):
+        released.wait(30)  # answers only once the client has given up
+        return []
+
+    # One dispatch thread posts the subtasks in order, so the title request
+    # is answered before the single-threaded mock blocks on association.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"predictor": {"timeout_s": 1.0, "parallelism": 1}}))
+    with answering_backend(association=slow) as backend:
+        try:
+            proc = run_cli_process(
+                "process", str(CORPUS_DIR / "memo_single.json"), "--config", str(cfg),
+                "--predictor", "remote", "--backend-url", backend.url, "--out-dir", str(tmp_path),
+            )
+        finally:
+            released.set()
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert degraded_warnings(tmp_path) == ["association[0]:degraded:remote->rules"]
+
+
+def test_process_backend_hanging_up_degrades(tmp_path):
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def hang_up():  # read each request, then close without a reply
+        while True:
+            try:
+                conn, _ = server.accept()
+            except OSError:  # the server socket was shut down
+                return
+            with conn:
+                conn.recv(1 << 16)
+
+    thread = threading.Thread(target=hang_up, daemon=True)
+    thread.start()
+    try:
+        host, port = server.getsockname()
+        proc = run_cli_process(
+            "process", str(CORPUS_DIR / "memo_single.json"),
+            "--predictor", "remote", "--backend-url", f"http://{host}:{port}/",
+            "--out-dir", str(tmp_path),
+        )
+    finally:
+        server.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        server.close()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert degraded_warnings(tmp_path) == [
+        "association[0]:degraded:remote->rules", "hierarchy[0]:degraded:remote->rules",
+    ]
 
 
 def test_process_batch_with_jobs(tmp_path):
@@ -299,6 +432,32 @@ def test_eval_wrong_shaped_predictions_fail_with_schema_mismatch(tmp_path, capsy
     assert err["error"]["code"] == "eval.SchemaMismatch"
 
 
+@pytest.mark.parametrize(
+    "retrieved, evidence",
+    [
+        ([["x", [0, 0, 1, 1]]], None),
+        ([[0, [0, 0, 1]]], None),
+        ({"0": [0, 0, 1, 1]}, None),
+        ([[0, [0, 0, 1, 1]]], [[0, [0, 0, 1]]]),
+    ],
+    ids=["page-not-int", "3-number-box", "not-a-list", "3-number-gold-box"],
+)
+def test_eval_malformed_boxes_fail_with_schema_mismatch(tmp_path, capsys, retrieved, evidence):
+    gold = json.loads((GOLD_DIR / "field_manual.gold.json").read_text())
+    if evidence is not None:
+        gold["evidence_gold"] = evidence
+    gold_path, pred_path, boxes_path = (tmp_path / n for n in ("gold.json", "pred.json", "boxes.json"))
+    gold_path.write_text(json.dumps(gold))
+    pred_path.write_text(json.dumps({"doc_id": "field_manual"}))
+    boxes_path.write_text(json.dumps(retrieved))
+    code = run_cli(
+        "eval", "--pred", str(pred_path), "--gold", str(gold_path), "--retrieved", str(boxes_path)
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "eval.SchemaMismatch"
+
+
 def test_export_markdown_from_tree_artifact(tmp_path):
     out = tmp_path / "again.md"
     code = run_cli(
@@ -307,6 +466,35 @@ def test_export_markdown_from_tree_artifact(tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == (GOLDEN_DIR / "field_manual.md").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        (b"not json", "eval.SchemaMismatch"),
+        (b"\xff\xfe", "eval.SchemaMismatch"),
+        (b'{"doc_id": "x"}', "ingest.MalformedInput"),
+        (b"[]", "ingest.MalformedInput"),
+        (b'{"doc_id": "x", "coord_unit": "pixel", "root": {"node_id": "root"}}', "ingest.MalformedInput"),
+        (b'{"doc_id": "x", "coord_unit": "pixel", "root": {"node_id": "root", "kind": "root",'
+         b' "level": "top", "anchor": -1}}', "ingest.MalformedInput"),
+        (b'{"doc_id": "x", "coord_unit": "pixel", "root": {"node_id": "root", "kind": "root",'
+         b' "level": 0, "anchor": Infinity}}', "ingest.MalformedInput"),
+        (b'{"doc_id": "x", "coord_unit": "pixel", "root": {"node_id": "root", "kind": "root",'
+         b' "level": 0, "anchor": -1, "children": [{"node_id": "s", "kind": "section",'
+         b' "level": 1, "anchor": 0, "title": 7}]}}', "ingest.MalformedInput"),
+    ],
+    ids=[
+        "not-json", "not-utf8", "no-coord-unit", "not-an-object", "node-without-kind",
+        "level-not-int", "anchor-infinite", "title-not-str",
+    ],
+)
+def test_export_bad_tree_file_exits_3(tmp_path, capsys, content, code):
+    tree = tmp_path / "tree.json"
+    tree.write_bytes(content)
+    assert run_cli("export", str(tree)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == code
 
 
 def test_inspect_chunks(tmp_path):
