@@ -53,10 +53,10 @@ def _dump(obj: dict, path: Optional[Path] = None) -> None:
 
 
 def _read_json(path: Path) -> object:
-    if not path.exists():
-        raise ConfigNotFound(f"file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ConfigNotFound(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
 

@@ -10,40 +10,132 @@ blocks and images as references with captions; it never emits coordinates.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from json.encoder import encode_basestring as _quote
 
 from .errors import MalformedInput
-from .jsonio import dumps_pretty
+from .jsonio import _INDENT, _float, _int, _value
 from .model import CanonicalElement, CoordUnit, ElementType, check_strings
 from .tree import DocNode, DocTree, NodeKind
 
 FORMAT_VERSION = 1
 
 
-def _node_to_dict(node: DocNode) -> dict:
-    # Only encoded, never kept, so it shares the node's lists instead of
-    # copying them; the (page, box) tuples encode as arrays.
-    return {
-        "node_id": node.node_id,
-        "kind": node.kind,
-        "title": node.title_text,
-        "level": node.level,
-        "anchor": node.anchor,
-        "title_path": node.title_path,
-        "summary": node.summary,
-        "body": [e.to_dict() for e in node.body],
-        "bboxes": node.bboxes,
-        "children": [_node_to_dict(c) for c in node.children],
-    }
+# DOC.tree.json is written straight from the tree: each fixed-shape record
+# (node, element, (page, bbox) pair, 4-number bbox) is one %-template with
+# its indentation built in, so a record costs one format call instead of a
+# list entry per scalar.  The text is exactly what jsonio.dumps_pretty (and
+# so json.dumps(indent=2, ensure_ascii=False)) gives for the same records as
+# dicts; tests/oracles.py keeps that dict form as the reference.
+
+
+def _text(v: object, nl: str) -> str:
+    """The JSON text of a slot value on a line indented ``nl``: exact-type
+    fast paths, else jsonio's encoder, which keeps the stdlib's isinstance
+    precedence (enum members, bools, NaN) and indents nested containers."""
+    t = type(v)
+    if t is str:
+        return _quote(v)  # type: ignore[arg-type]
+    if t is int:
+        return _int(v)  # type: ignore[arg-type]
+    if t is float:
+        return _float(v)  # type: ignore[arg-type]
+    if v is None:
+        return "null"
+    out: list[str] = []
+    _value(v, "", nl, out)
+    return "".join(out)
+
+
+@lru_cache(maxsize=None)  # keyed by indent: one entry per tree depth
+def _layout(nl: str) -> tuple[str, ...]:
+    """The indents and templates of a node whose opening brace sits on a
+    line indented ``nl``."""
+    i = nl + _INDENT  # the node's keys
+    j = i + _INDENT  # its list items: elements, pairs, child nodes
+    k = j + _INDENT  # an element's keys, a pair's entries
+    m = k + _INDENT  # bbox numbers
+    head = (
+        f'{{{i}"node_id": %s,{i}"kind": %s,{i}"title": %s,{i}"level": %s,'
+        f'{i}"anchor": %s,{i}"title_path": %s,{i}"summary": %s,{i}"body": %s,'
+        f'{i}"bboxes": %s,{i}"children": '
+    )
+    element = (
+        f'{{{k}"idx": %s,{k}"type": %s,{k}"content": %s,{k}"page": %s,'
+        f'{k}"bbox": %s,{k}"table_html": %s,{k}"asset_ref": %s{j}}}'
+    )
+    pair = f"[{k}%s,{k}%s{j}]"
+    box = f"[{m}%s,{m}%s,{m}%s,{m}%s{k}]"
+    return i, j, k, "[" + j, "," + j, i + "]", nl + "}", head, element, pair, box
+
+
+def _box(box: object, box_tpl: str, nl: str) -> str:
+    """A bbox on a line indented ``nl`` (after its key or as a pair entry)."""
+    if (type(box) is list or type(box) is tuple) and len(box) == 4:  # type: ignore[arg-type]
+        x0, y0, x1, y1 = box  # type: ignore[misc]
+        if type(x0) is float and type(y0) is float and type(x1) is float and type(y1) is float:
+            text = box_tpl % (x0, y0, x1, y1)  # %s of a float is its repr
+            if "n" not in text:  # else a nan or inf, spelt NaN or Infinity in JSON
+                return text
+        m = nl + _INDENT
+        return box_tpl % (_text(x0, m), _text(y0, m), _text(x1, m), _text(y1, m))
+    return _text(box, nl)
+
+
+def _write_node(node: DocNode, nl: str, out: list[str]) -> None:
+    i, j, k, first, rest, end, close, head, element, pair, box_tpl = _layout(nl)
+    body = [
+        element % (
+            _text(e.idx, k),
+            _text(e.etype.value, k),
+            _text(e.content, k),
+            _text(e.page, k),
+            _box(e.bbox, box_tpl, k),
+            _text(e.table_html, k),
+            _text(e.asset_ref, k),
+        )
+        for e in node.body
+    ]
+    boxes = [
+        pair % (_text(p[0], k), _box(p[1], box_tpl, k))
+        if (type(p) is tuple or type(p) is list) and len(p) == 2
+        else _text(p, j)
+        for p in node.bboxes
+    ]
+    out.append(head % (
+        _text(node.node_id, i),
+        _text(node.kind, i),
+        _text(node.title_text, i),
+        _text(node.level, i),
+        _text(node.anchor, i),
+        _text(node.title_path, i),
+        _text(node.summary, i),
+        first + rest.join(body) + end if body else "[]",
+        first + rest.join(boxes) + end if boxes else "[]",
+    ))
+    if node.children:
+        sep = first
+        for child in node.children:
+            out.append(sep)
+            _write_node(child, j, out)
+            sep = rest
+        out.append(end)
+    else:
+        out.append("[]")
+    out.append(close)
 
 
 def export_json(tree: DocTree) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "doc_id": tree.doc_id,
-        "coord_unit": tree.coord_unit.value,
-        "root": _node_to_dict(tree.root),
-    }
-    return dumps_pretty(doc) + "\n"
+    """``DOC.tree.json``: the text ``json.dumps(doc, ensure_ascii=False,
+    indent=2) + "\\n"`` gives for the tree as nested dicts, byte for byte."""
+    i = "\n" + _INDENT
+    out = [
+        f'{{{i}"format_version": {FORMAT_VERSION},{i}"doc_id": %s,{i}"coord_unit": %s,'
+        f'{i}"root": ' % (_text(tree.doc_id, i), _text(tree.coord_unit.value, i))
+    ]
+    _write_node(tree.root, i, out)
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def _node_from_dict(d: dict) -> DocNode:

@@ -1,4 +1,4 @@
-"""Pretty JSON text for every artifact docstitch writes.
+"""Pretty JSON text for the artifacts docstitch writes.
 
 ``dumps_pretty(obj)`` returns exactly ``json.dumps(obj, ensure_ascii=False,
 indent=2)``.  The stdlib serves any ``indent`` with its pure-Python,
@@ -8,7 +8,9 @@ that appends to a single list: strings are escaped by the stdlib's C
 ``encode_basestring``, and each scalar is emitted as one chunk together
 with its separator and key, which keeps the list, and so peak memory,
 smaller than the stdlib's.  Inputs are trees built by ``to_dict``, so there
-is no circular-reference check.
+is no circular-reference check.  ``exporters.export_json`` writes the tree
+artifact's fixed-shape records from templates and falls back to ``_value``
+for any other value.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ class CanonicalDocument:
                 source_schema=d.get("source_schema", "generic"),
                 elements=elements,
             )
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             where = "document" if pos is None else f"element #{pos}"
             if isinstance(exc, KeyError):
                 raise MalformedInput(f"{where} is missing its {exc.args[0]} field") from exc

@@ -2,8 +2,9 @@
 
 These deliberately re-derive results through a different route than the
 library: the tree edit distance oracle explores edit scripts recursively
-over forests (no keyroots, no postorder tables), and the chunk boundary
-oracle rescans every window naively.
+over forests (no keyroots, no postorder tables), the chunk boundary
+oracle rescans every window naively, and the tree-JSON oracle builds the
+nested dicts that ``exporters.export_json`` writes as text directly.
 """
 
 from __future__ import annotations
@@ -110,3 +111,33 @@ def chunk_oracle(boundaries: list[int], p_max: int) -> list[tuple[int, int]]:
         else:
             out.append((max(0, b - 1), p_max))
     return out
+
+
+# -- tree JSON oracle -----------------------------------------------------
+
+
+def node_to_dict(node) -> dict:
+    """A ``DocNode`` as the dict ``DOC.tree.json`` holds for it."""
+    return {
+        "node_id": node.node_id,
+        "kind": node.kind,
+        "title": node.title_text,
+        "level": node.level,
+        "anchor": node.anchor,
+        "title_path": node.title_path,
+        "summary": node.summary,
+        "body": [e.to_dict() for e in node.body],
+        "bboxes": node.bboxes,
+        "children": [node_to_dict(c) for c in node.children],
+    }
+
+
+def tree_to_dict(tree) -> dict:
+    """The whole ``DOC.tree.json`` document of a ``DocTree``: its text is
+    ``json.dumps(tree_to_dict(tree), ensure_ascii=False, indent=2) + "\\n"``."""
+    return {
+        "format_version": 1,
+        "doc_id": tree.doc_id,
+        "coord_unit": tree.coord_unit.value,
+        "root": node_to_dict(tree.root),
+    }

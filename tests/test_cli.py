@@ -116,13 +116,22 @@ def test_process_is_bit_reproducible(tmp_path):
 
 
 def test_process_missing_config_file(tmp_path, capsys):
-    code = run_cli(
-        "process", str(CORPUS_DIR / "memo_single.json"),
-        "--config", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path),
-    )
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["code"] == "cli.ConfigNotFound"
+    # A missing config, a directory as config and a directory as input all
+    # exit 2 with a message naming the path.
+    folder = tmp_path / "d.json"
+    folder.mkdir()
+    memo = str(CORPUS_DIR / "memo_single.json")
+    absent = tmp_path / "absent.json"
+    for argv, path in (
+        ([memo, "--config", str(absent)], absent),
+        ([memo, "--config", str(folder)], folder),
+        ([str(folder)], folder),
+    ):
+        code = run_cli("process", *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "cli.ConfigNotFound"
+        assert str(path) in err["error"]["message"]
 
 
 def test_process_rejects_unknown_config_keys(tmp_path, capsys):
@@ -169,7 +178,11 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
             {**typed, "page": "p"},
             {**typed, "content": 7},
             {**typed, "table_html": 5},
+            {**typed, "idx": float("inf")},
+            {**typed, "page": float("inf")},
         )
+    ] + [
+        ({"doc_id": "d", "page_count": float("inf"), "elements": [typed]}, "document "),
     ] + [
         # Raw MinerU blocks: a bad page, coordinate unit or page count.
         ([{**block, "page_idx": "one"}], "block #0 has a bad page field"),

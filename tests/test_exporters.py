@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import enum
 import json
+import random
+import tracemalloc
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docstitch.apply import ResolvedDocument
 from docstitch.exporters import export_json, export_markdown, tree_from_json
-from docstitch.model import CanonicalElement, CoordUnit, ElementType
+from docstitch.model import CanonicalDocument, CanonicalElement, CoordUnit, ElementType
 from docstitch.pipeline import PipelineConfig, run_pipeline
 from docstitch.tree import DocNode, DocTree, NodeKind, build_tree
 
 from .conftest import GOLDEN_DIR
 from .helpers import stack_elements
+from .oracles import tree_to_dict
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _tree_for(specs, levels):
@@ -89,6 +96,23 @@ def test_json_round_trip_preserves_markdown(corpus):
         assert md_after == md_before
 
 
+def test_json_export_peak_memory_is_below_three_times_its_text(monkeypatch):
+    # Export is the memory peak of a run: written as text with no
+    # intermediate dict, its traced peak stays near 2x the output.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    raw = gen.make_report(random.Random("long_report:1"), "long_report", 225)
+    tree = run_pipeline(CanonicalDocument.from_dict(raw), PipelineConfig()).tree
+    tracemalloc.start()
+    try:
+        text = export_json(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), peak / len(text)
+
+
 # -- fuzz: exporters never fail on any valid tree -------------------------
 
 node_ids = st.integers(min_value=0, max_value=10_000)
@@ -137,3 +161,72 @@ def test_exporters_never_fail_on_generated_trees(tree):
     text = export_json(tree)
     assert export_json(tree_from_json(text)) == text
     export_markdown(tree)
+
+
+# -- the template writer against the stdlib -------------------------------
+
+
+class Kind(str, enum.Enum):
+    SECTION = "section"
+
+
+awkward_texts = st.text(max_size=12) | st.sampled_from(
+    ["", "é 漢字 🙂", '"quoted" \\ back\\slash', "\x00\x1f\t\n\r\x7f", "\ud800", "%s %r {}"]
+)
+coords = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e16, 5e-324])
+)
+boxes = st.lists(coords, min_size=0, max_size=6).flatmap(
+    lambda b: st.sampled_from([b, tuple(b)])
+)
+elements = st.builds(
+    CanonicalElement,
+    idx=st.integers(min_value=-5, max_value=10**6),
+    etype=st.sampled_from(list(ElementType)),
+    content=awkward_texts,
+    page=st.integers(min_value=-1, max_value=10**4),
+    bbox=boxes,
+    table_html=st.none() | awkward_texts,
+    asset_ref=st.none() | awkward_texts,
+)
+pairs = st.tuples(st.integers(min_value=0, max_value=99), boxes).flatmap(
+    lambda p: st.sampled_from([p, list(p)])
+) | st.lists(coords, max_size=3)
+
+
+@st.composite
+def awkward_trees(draw):
+    """Trees of every element type and awkward scalar, with sections nested
+    down to ``depth`` (so at least 3 deep whenever depth >= 3)."""
+
+    def node(depth, kind):
+        kinds = st.sampled_from([NodeKind.SECTION, NodeKind.SUBNODE, NodeKind.VISUAL, Kind.SECTION])
+        width = draw(st.integers(min_value=1, max_value=2)) if depth else 0
+        return DocNode(
+            node_id=draw(awkward_texts),
+            kind=kind,
+            level=draw(st.integers(min_value=0, max_value=9)),
+            anchor=draw(st.integers(min_value=-1, max_value=10**6)),
+            title_text=draw(st.none() | awkward_texts),
+            title_path=draw(st.lists(awkward_texts, max_size=3)),
+            summary=draw(st.none() | awkward_texts),
+            body=draw(st.lists(elements, max_size=3)),
+            bboxes=draw(st.lists(pairs, max_size=3)),
+            children=[node(depth - 1, draw(kinds)) for _ in range(width)],
+        )
+
+    depth = draw(st.integers(min_value=0, max_value=4))
+    return DocTree(
+        doc_id=draw(awkward_texts),
+        coord_unit=draw(st.sampled_from(list(CoordUnit))),
+        root=node(depth, NodeKind.ROOT),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=awkward_trees())
+def test_json_export_is_the_stdlib_text_of_the_oracle_dict(tree):
+    assert export_json(tree) == json.dumps(tree_to_dict(tree), ensure_ascii=False, indent=2) + "\n"
+
