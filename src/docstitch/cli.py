@@ -8,6 +8,7 @@ auth token is only ever read from the environment and never logged.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -121,7 +122,6 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def _process_one(path: Path, cfg: PipelineConfig, out_dir: Path) -> dict:
     doc = _load_document(path, cfg.profile)
     result = run_pipeline(doc, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = doc.doc_id
 
     if "json" in cfg.export_formats:
@@ -144,13 +144,26 @@ def _process_one(path: Path, cfg: PipelineConfig, out_dir: Path) -> dict:
 def cmd_process(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or no permission
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     inputs = [Path(p) for p in args.input]
 
-    if cfg.jobs > 1 and len(inputs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            summaries = list(pool.map(lambda p: _process_one(p, cfg, out_dir), inputs))
-    else:
-        summaries = [_process_one(p, cfg, out_dir) for p in inputs]
+    # The pipeline builds no reference cycles, so reference counting frees
+    # all it allocates, and a cyclic collection would only rescan the live
+    # documents and trees.  tests/test_cli.py checks that no cycle is left.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if cfg.jobs > 1 and len(inputs) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+                summaries = list(pool.map(lambda p: _process_one(p, cfg, out_dir), inputs))
+        else:
+            summaries = [_process_one(p, cfg, out_dir) for p in inputs]
+    finally:
+        if collecting:
+            gc.enable()
 
     _dump({"processed": summaries})
     return 0

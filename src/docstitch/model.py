@@ -106,14 +106,16 @@ class CanonicalElement:
 
     @classmethod
     def from_dict(cls, d: dict) -> CanonicalElement:
+        # Arguments evaluate in field order, so the first bad field is the
+        # one a MalformedInput names.
         element = cls(
-            idx=int(d["idx"]),
-            etype=ElementType(d["type"]),
-            content=d.get("content", "") or "",
-            page=int(d["page"]),
-            bbox=tuple(float(v) for v in d["bbox"]),
-            table_html=d.get("table_html"),
-            asset_ref=d.get("asset_ref"),
+            int(d["idx"]),
+            ElementType(d["type"]),
+            d.get("content") or "",
+            int(d["page"]),
+            tuple(map(float, d["bbox"])),
+            d.get("table_html"),
+            d.get("asset_ref"),
         )
         check_strings(element.content, element.table_html, element.asset_ref)
         return element

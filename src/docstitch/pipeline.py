@@ -188,12 +188,12 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
     ("tree", "node_chunk_chars"): ("node_chunk_chars", _int),
     ("tree", "summarizer"): ("summarizer_mode", _str),
     ("tree", "summarizer_url"): ("summarizer_url", _str),
-    ("tree", "summary_cap_chars"): ("summary_cap_chars", _int),
-    ("tree", "summary_max_sentences"): ("summary_max_sentences", _int),
+    ("tree", "summary_cap_chars"): ("summary_cap_chars", _count),
+    ("tree", "summary_max_sentences"): ("summary_max_sentences", _count),
     ("export", "formats"): ("export_formats", _strings),
     ("filters", "terminators"): ("rules.terminators", lambda v: frozenset(_strings(v))),
     ("filters", "prefix_patterns"): ("rules.prefix_patterns", _strings),
-    ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", _int),
+    ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", _count),
     ("filters", "width_band"): ("filters.width_band", _band),
     ("filters", "continuation_markers"): ("filters.continuation_markers", _strings),
     ("filters", "row_window"): ("filters.row_window", _count),

@@ -19,7 +19,7 @@ import logging
 import os
 import urllib.error
 import urllib.request
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import BackendUnavailable, MalformedResponse
 from ..filtering import TablePairCandidate, TextPairCandidate
@@ -86,15 +86,16 @@ class RemotePredictor(Predictor):
         return post_json(self.url, body, self.timeout)
 
     def _call(self, body: dict, parse: Callable[[object], object]) -> object:
-        last: Optional[MalformedResponse] = None
-        for _ in range(RETRIES + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 return parse(self._post(body))
             except MalformedResponse as exc:
-                last = exc
                 logger.warning("malformed backend response for %s: %s", body.get("task"), exc.message)
-        assert last is not None
-        raise last
+                if attempt == RETRIES:
+                    # Re-raised in place: an exception kept in a local would
+                    # make a cycle (exception, traceback, this frame) that
+                    # holds the request body until the collector runs.
+                    raise
 
     @staticmethod
     def _block(e: CanonicalElement, etype: str, content: str) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Optional
 
 DEFAULT_TERMINATORS = frozenset({".", "!", "?", "。", "！", "？", ":", "；", ";"})
 
@@ -42,11 +43,20 @@ class TextRules:
     prefix_patterns: tuple[str, ...] = DEFAULT_PREFIX_PATTERNS
     sentence_cap_chars: int = 300
     _compiled: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False, default=())
+    _sentence: re.Pattern = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_compiled", tuple(re.compile(p) for p in self.prefix_patterns)
         )
+        # A sentence runs up to a terminator and takes the closers that follow
+        # it; text after the last terminator is one more sentence.  Only
+        # single characters can terminate: a longer or empty terminator
+        # string never matches.
+        ends = re.escape("".join(sorted(t for t in self.terminators if len(t) == 1)))
+        closers = re.escape("".join(sorted(CLOSERS)))
+        pattern = rf"[^{ends}]*[{ends}][{closers}]*|[^{ends}]+" if ends else r"[\s\S]+"
+        object.__setattr__(self, "_sentence", re.compile(pattern))
 
     def ends_terminated(self, text: str) -> bool:
         """True when the text ends in a terminator, ignoring closing quotes."""
@@ -66,34 +76,22 @@ class TextRules:
     def clean_opener(self, text: str) -> bool:
         return self.starts_listlike(text) or self.starts_uppercase(text)
 
-    def split_sentences(self, text: str) -> list[str]:
-        """Split on the terminator set; terminators stay with their sentence."""
+    def split_sentences(self, text: str, limit: Optional[int] = None) -> list[str]:
+        """Split on the terminator set; terminators stay with their sentence.
+        With ``limit``, only the first ``limit`` sentences are split off."""
         out: list[str] = []
-        buf: list[str] = []
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            buf.append(ch)
-            if ch in self.terminators:
-                j = i + 1
-                while j < n and text[j] in CLOSERS:
-                    buf.append(text[j])
-                    j += 1
-                sentence = "".join(buf).strip()
-                if sentence:
-                    out.append(sentence)
-                buf = []
-                i = j
-            else:
-                i += 1
-        trailing = "".join(buf).strip()
-        if trailing:
-            out.append(trailing)
+        if limit == 0:
+            return out
+        for match in self._sentence.finditer(text):
+            sentence = match.group().strip()
+            if sentence:
+                out.append(sentence)
+                if len(out) == limit:
+                    break
         return out
 
     def first_sentence(self, text: str) -> str:
-        sentences = self.split_sentences(text)
+        sentences = self.split_sentences(text, 1)
         head = sentences[0] if sentences else text.strip()
         return head[: self.sentence_cap_chars]
 

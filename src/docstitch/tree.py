@@ -11,7 +11,7 @@ every node a summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .apply import ResolvedDocument
 from .errors import BackendUnavailable, MalformedResponse
@@ -41,7 +41,7 @@ class DocNode:
     title_text: Optional[str] = None
     title_path: list[str] = field(default_factory=list)
     body: list[CanonicalElement] = field(default_factory=list)
-    bboxes: list[tuple[int, list[float]]] = field(default_factory=list)
+    bboxes: list[tuple[int, Sequence[float]]] = field(default_factory=list)
     summary: Optional[str] = None
     children: list[DocNode] = field(default_factory=list)
 
@@ -86,19 +86,21 @@ class DocTree:
         return sorted(out)
 
 
-def _element_boxes(e: CanonicalElement, fragment_boxes: dict[int, list]) -> list:
-    if e.idx in fragment_boxes:
-        return [tuple(b) for b in fragment_boxes[e.idx]]
-    return [(e.page, list(e.bbox))]
-
-
 def build_tree(resolved: ResolvedDocument) -> DocTree:
     """Assemble the section hierarchy and attach every element to a node."""
-    fragment_boxes: dict[int, list] = {}
-    for record in resolved.merge_log.records:
-        fragment_boxes[record.src_idx] = [
-            (f["page"], f["bbox"]) for f in record.fragments
-        ]
+    # A merged element spans its fragments' boxes; any other element has the
+    # one pair (page, bbox) holding its own bbox tuple.
+    fragment_boxes: dict[int, list[tuple[int, Sequence[float]]]] = {
+        record.src_idx: [(f["page"], f["bbox"]) for f in record.fragments]
+        for record in resolved.merge_log.records
+    }
+
+    def add_boxes(node: DocNode, e: CanonicalElement) -> None:
+        boxes = fragment_boxes.get(e.idx)
+        if boxes is None:
+            node.bboxes.append((e.page, e.bbox))
+        else:
+            node.bboxes.extend(boxes)
 
     # Captions/footnotes ride along with their linked visual.
     captions_for: dict[int, list[CanonicalElement]] = {}
@@ -115,6 +117,7 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
     root = DocNode(node_id="root", kind=NodeKind.ROOT, level=0, anchor=-1)
     tree = DocTree(doc_id=resolved.doc_id, coord_unit=resolved.coord_unit, root=root)
     stack: list[DocNode] = [root]
+    parents: list[DocNode] = [root]  # the root and every section
     section_by_title: dict[int, DocNode] = {}
     pending_visuals: list[tuple[CanonicalElement, DocNode]] = []
 
@@ -131,19 +134,23 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
                 anchor=e.idx,
                 title_text=e.content,
                 title_path=parent.title_path + [e.content],
-                bboxes=_element_boxes(e, fragment_boxes),
             )
+            add_boxes(node, e)
             parent.children.append(node)
             section_by_title[e.idx] = node
+            parents.append(node)
             stack.append(node)
         elif e.etype in VISUAL_TYPES:
             pending_visuals.append((e, stack[-1]))
         elif e.etype in FURNITURE_TYPES:
             root.body.append(e)
+            add_boxes(root, e)
         elif e.idx in claimed:
             continue  # added inside its visual node
         else:
+            # Body boxes follow the section's title box in reading order.
             stack[-1].body.append(e)
+            add_boxes(stack[-1], e)
 
     for visual, fallback_section in pending_visuals:
         linked_title = resolved.section_links.get(visual.idx)
@@ -162,17 +169,12 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
             title_path=list(parent.title_path),
             body=[visual] + captions_for.get(visual.idx, []),
         )
-        node.bboxes = [
-            box for el in node.body for box in _element_boxes(el, fragment_boxes)
-        ]
+        for el in node.body:
+            add_boxes(node, el)
         parent.children.append(node)
 
-    for n in tree.walk():
-        n.children.sort(key=lambda c: c.anchor)
-        if n.kind != NodeKind.VISUAL:
-            n.bboxes = n.bboxes + [
-                box for el in n.body for box in _element_boxes(el, fragment_boxes)
-            ]
+    for node in parents:
+        node.children.sort(key=lambda c: c.anchor)
     return tree
 
 
@@ -222,7 +224,7 @@ def chunk_nodes(
                     anchor=group[0].idx,
                     title_path=list(node.title_path),
                     body=group,
-                    bboxes=[(e.page, list(e.bbox)) for e in group],
+                    bboxes=[(e.page, e.bbox) for e in group],
                 )
             )
         node.body = []
@@ -253,7 +255,7 @@ class ExtractiveSummarizer(Summarizer):
         text = " ".join(p for p in paragraphs if p).strip()
         if not text:
             return (title_path[-1] if title_path else "")[: self.cap_chars]
-        sentences = self.rules.split_sentences(text)[: self.max_sentences]
+        sentences = self.rules.split_sentences(text, self.max_sentences)
         return " ".join(sentences)[: self.cap_chars]
 
 

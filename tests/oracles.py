@@ -3,8 +3,10 @@
 These deliberately re-derive results through a different route than the
 library: the tree edit distance oracle explores edit scripts recursively
 over forests (no keyroots, no postorder tables), the chunk boundary
-oracle rescans every window naively, and the tree-JSON oracle builds the
-nested dicts that ``exporters.export_json`` writes as text directly.
+oracle rescans every window naively, the tree-JSON oracle builds the
+nested dicts that ``exporters.export_json`` writes as text directly, and
+the sentence oracle walks the text one character at a time where
+``TextRules.split_sentences`` runs one regular expression.
 """
 
 from __future__ import annotations
@@ -141,3 +143,34 @@ def tree_to_dict(tree) -> dict:
         "coord_unit": tree.coord_unit.value,
         "root": node_to_dict(tree.root),
     }
+
+
+# -- sentence splitting oracle --------------------------------------------
+
+
+def split_sentences(text: str, terminators, closers) -> list[str]:
+    """Split after each character in ``terminators`` and the ``closers``
+    that follow it; each piece is stripped and empty pieces dropped."""
+    out: list[str] = []
+    buf: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        buf.append(ch)
+        if ch in terminators:
+            j = i + 1
+            while j < n and text[j] in closers:
+                buf.append(text[j])
+                j += 1
+            sentence = "".join(buf).strip()
+            if sentence:
+                out.append(sentence)
+            buf = []
+            i = j
+        else:
+            i += 1
+    trailing = "".join(buf).strip()
+    if trailing:
+        out.append(trailing)
+    return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -12,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import docstitch.cli
-from docstitch.cli import main
+from docstitch.cli import _process_one, main
+from docstitch.pipeline import PipelineConfig
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
-from .mock_backend import MockBackend
+from .mock_backend import MockBackend, Seq
 
 RAW = Path(__file__).parent / "fixtures" / "raw"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,6 +154,9 @@ def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
         {"predictor": {"timeout_s": True}},
         {"filters": {"width_band": ["0.5", True]}},
         {"filters": {"row_window": -1}},
+        {"tree": {"summary_max_sentences": -1}},
+        {"tree": {"summary_cap_chars": -3}},
+        {"filters": {"sentence_cap_chars": -1}},
         {"predictor": {"mode": "remote", "backend_url": "http://127.0.0.1:9/", "timeout_s": 0}},
         {"predictor": {"mode": "remote", "backend_url": "http://127.0.0.1:9/", "timeout_s": -1}},
     ):
@@ -216,7 +221,7 @@ def test_process_lone_surrogate_exits_3(tmp_path, capsys, kind):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "ingest.MalformedInput"
     assert err["error"]["message"].startswith(where)
-    assert not out.exists()
+    assert list(out.iterdir()) == []  # no artifact is written
 
 
 def test_process_lone_surrogate_in_dropped_block_is_ignored(tmp_path):
@@ -361,6 +366,72 @@ def test_process_batch_with_jobs(tmp_path):
     for doc_id in ("memo_single", "desk_notes", "columns_mix"):
         got = (tmp_path / f"{doc_id}.tree.json").read_bytes()
         assert got == (GOLDEN_DIR / f"{doc_id}.tree.json").read_bytes()
+
+
+def test_process_unusable_out_dir_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    # An existing file as --out-dir, or a path below one, is a config error
+    # raised before any input is loaded.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    calls: list = []
+    monkeypatch.setattr(docstitch.cli, "run_pipeline", lambda *args: calls.append(args))
+    for out in (afile, afile / "sub"):
+        code = run_cli("process", str(CORPUS_DIR / "memo_single.json"), "--out-dir", str(out))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "cli.ConfigError"
+        assert str(out) in err["error"]["message"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_process_restores_the_collector_state(tmp_path, capsys, enabled):
+    memo = str(CORPUS_DIR / "memo_single.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"doc_id": "bad", "page_count": 1, "elements": [{}]}))
+    runs = (
+        ([memo], 0),
+        ([memo, str(CORPUS_DIR / "desk_notes.json"), "--jobs", "2"], 0),
+        ([memo, str(tmp_path / "absent.json")], 2),
+        ([memo, str(bad)], 3),
+    )
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert run_cli("process", *argv, "--out-dir", str(tmp_path / "out")) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def cycles_left_by(run) -> int:
+    """The objects in reference cycles that ``run()`` leaves unreachable,
+    counted with the collector paused as ``process`` pauses it."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("doc_id", CORPUS_IDS)
+def test_process_one_leaves_no_reference_cycle(tmp_path, doc_id):
+    path = CORPUS_DIR / f"{doc_id}.json"
+    assert cycles_left_by(lambda: _process_one(path, PipelineConfig(), tmp_path)) == 0
+
+
+def test_process_one_with_a_retried_request_leaves_no_reference_cycle(tmp_path):
+    with answering_backend(text_truncation=Seq(["garbage", []])) as backend:
+        cfg = PipelineConfig(predictor_mode="remote", backend_url=backend.url)
+        path = CORPUS_DIR / "field_manual.json"
+        assert cycles_left_by(lambda: _process_one(path, cfg, tmp_path)) == 0
+    tasks = [r["body"]["task"] for r in backend.requests]
+    assert tasks.count("text_truncation") == 3  # two chunks, the first one retried
 
 
 def test_eval_pred_equals_gold_gives_maxima(tmp_path, capsys):

@@ -296,6 +296,9 @@ def test_config_rejects_bad_modes_and_ranges():
         {"tree": {"summary_cap_chars": "300"}},
         {"filters": {"row_window": False}},
         {"filters": {"row_window": -1}},
+        {"tree": {"summary_max_sentences": -1}},
+        {"tree": {"summary_cap_chars": -3}},
+        {"filters": {"sentence_cap_chars": -1}},
         {"predictor": {"timeout_s": True}},
         {"predictor": {"timeout_s": "1e1"}},
         {"filters": {"width_band": ["0.5", 1.0]}},

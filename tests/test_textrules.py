@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docstitch.textrules import TextRules, join_fragments
+from docstitch.textrules import CLOSERS, DEFAULT_TERMINATORS, TextRules, join_fragments
+
+from . import oracles
 
 
 @pytest.fixture
@@ -56,6 +60,31 @@ def test_split_sentences_keeps_terminators(rules):
 
 def test_split_sentences_trailing_fragment(rules):
     assert rules.split_sentences("Done. And then") == ["Done.", "And then"]
+
+
+# Terminators, closers, whitespace, CJK and letters, plus regex
+# metacharacters that a custom terminator set may hold.
+SENTENCE_ALPHABET = sorted(DEFAULT_TERMINATORS | CLOSERS) + list(" \t\n\u3000中文Ab-^\\[|")
+custom_terminators = st.frozensets(
+    st.one_of(
+        st.sampled_from(["]", "^", "-", "\\", "[", ".", ")", "\n", "中"]),  # ")" is a closer
+        st.sampled_from(["", "..", "?!", "。」"]),  # never match: not one character
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(SENTENCE_ALPHABET, max_size=40),
+    st.one_of(st.just(DEFAULT_TERMINATORS), custom_terminators),
+    st.integers(0, 4),
+)
+def test_split_sentences_matches_character_oracle(text, terminators, limit):
+    rules = TextRules(terminators=terminators)
+    expected = oracles.split_sentences(text, terminators, CLOSERS)
+    assert rules.split_sentences(text) == expected
+    assert rules.split_sentences(text, limit) == expected[:limit]
 
 
 def test_first_and_last_sentence_with_cap():
