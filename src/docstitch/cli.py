@@ -17,11 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, ConfigNotFound, DocstitchError, SchemaMismatch
+from .errors import ConfigError, DocstitchError
 from .evaluation import GoldAnnotations, evaluate
 from .exporters import export_json, export_markdown, tree_from_dict
 from .ingest import normalize_elements
-from .jsonio import dumps_pretty
+from .jsonio import dumps_pretty, read_json
 from .model import CanonicalDocument, validate_document
 from .pipeline import PipelineConfig, plan_subtasks, run_pipeline
 
@@ -53,18 +53,9 @@ def _dump(obj: dict, path: Optional[Path] = None) -> None:
         _write_text(path, text)
 
 
-def _read_json(path: Path) -> object:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:  # missing, a directory, or not readable
-        raise ConfigNotFound(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
-        raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _load_document(path: Path, profile: str) -> CanonicalDocument:
     """Accept a canonical-document JSON or a raw OCR block list."""
-    raw = _read_json(path)
+    raw = read_json(path)
     if isinstance(raw, dict) and "elements" in raw and "doc_id" in raw:
         return CanonicalDocument.from_dict(raw)
     result = normalize_elements(raw, profile, doc_id=path.stem)  # type: ignore[arg-type]
@@ -74,7 +65,7 @@ def _load_document(path: Path, profile: str) -> CanonicalDocument:
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     raw: dict = {}
     if getattr(args, "config", None):
-        loaded = _read_json(Path(args.config))
+        loaded = read_json(Path(args.config))
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         raw = loaded
@@ -104,7 +95,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    raw = _read_json(Path(args.input))
+    raw = read_json(Path(args.input))
     result = normalize_elements(raw, args.profile, doc_id=Path(args.input).stem)  # type: ignore[arg-type]
     if args.out:
         _write_text(Path(args.out), result.document.to_json())
@@ -170,20 +161,18 @@ def cmd_process(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    pred_raw = _read_json(Path(args.pred))
-    gold_raw = _read_json(Path(args.gold))
-    if not isinstance(pred_raw, dict) or not isinstance(gold_raw, dict):
-        raise SchemaMismatch("prediction and gold files must hold JSON objects")
-    gold = GoldAnnotations.from_dict(gold_raw)
-    retrieved = _read_json(Path(args.retrieved)) if args.retrieved else None
-    report = evaluate(gold, pred_raw, retrieved)
+    pred_raw = read_json(Path(args.pred))
+    gold_raw = read_json(Path(args.gold))
+    gold = GoldAnnotations.from_dict(gold_raw)  # type: ignore[arg-type]
+    retrieved = read_json(Path(args.retrieved)) if args.retrieved else None
+    report = evaluate(gold, pred_raw, retrieved)  # type: ignore[arg-type]
     _dump(report.to_dict(), Path(args.out) if args.out else None)
     sys.stderr.write(report.as_table() + "\n")
     return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    tree = tree_from_dict(_read_json(Path(args.tree)))
+    tree = tree_from_dict(read_json(Path(args.tree)))
     text = export_markdown(tree) if args.format == "markdown" else export_json(tree)
     if args.out:
         _write_text(Path(args.out), text)

@@ -60,3 +60,19 @@ class ConfigNotFound(ConfigError):
 
 class BadConfig(ConfigError):
     code = "chunking.BadConfig"
+
+
+# What a reader's conversions raise on a missing key or on a value of the wrong
+# type, shape or range; every JSON reader turns them into its code with bad_field.
+BAD_FIELD = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def bad_field(
+    error: type[DocstitchError], where: str, exc: Exception, key: str = ""
+) -> DocstitchError:
+    """``error`` saying which field of ``where`` ``exc`` rejected; ``key``
+    names the field when the caller knows it."""
+    if isinstance(exc, KeyError):
+        return error(f"{where} is missing its {exc.args[0]} field")
+    named = f"{key} field" if key else "field"
+    return error(f"{where} has a bad {named}: {exc}")

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import SchemaMismatch
+from .errors import BAD_FIELD, SchemaMismatch, bad_field
+from .model import check_strings
 
 
 @dataclass
@@ -119,14 +120,15 @@ def hierarchy_tree(
 
     Children order follows reading order (ascending idx); each title
     parents to the nearest preceding title of strictly smaller level,
-    the same rule the document tree uses.
+    the same rule the document tree uses; -1 demotes a title, and the root
+    alone owns level 0.
     """
     root = LabeledTree(root_label)
     stack: list[tuple[int, LabeledTree]] = [(0, root)]
     for idx in sorted(levels):
-        level = levels[idx]
-        if level == -1:
+        if levels[idx] == -1:
             continue
+        level = max(1, levels[idx])
         node = LabeledTree(normalize_label(titles.get(idx, str(idx))))
         while stack[-1][0] >= level:
             stack.pop()
@@ -328,10 +330,6 @@ def _read_page_boxes(raw: object) -> list[PageBox]:
     return boxes
 
 
-# What the readers raise on a missing key or a value of the wrong type or shape.
-_BAD_FIELD = (AttributeError, KeyError, TypeError, ValueError)
-
-
 @dataclass
 class GoldAnnotations:
     """Per-document gold structures for every subtask (fixture format v1)."""
@@ -349,14 +347,16 @@ class GoldAnnotations:
         try:
             if d.get("format_version", 1) != 1:
                 raise SchemaMismatch(f"unsupported annotation version {d['format_version']}")
-            return cls(
+            gold = cls(
                 doc_id=str(d["doc_id"]),
                 titles={int(k): str(v) for k, v in d.get("titles", {}).items()},
                 evidence_gold=_read_page_boxes(d.get("evidence_gold", [])),
                 **_read_structures(d),
             )
-        except _BAD_FIELD as exc:
-            raise SchemaMismatch(f"bad gold annotation file: {exc}") from exc
+            check_strings(gold.doc_id)  # the report names it
+            return gold
+        except BAD_FIELD as exc:
+            raise bad_field(SchemaMismatch, "gold annotation file", exc) from exc
 
     def to_dict(self) -> dict:
         return {
@@ -432,12 +432,12 @@ def evaluate(
     """
     try:
         pred = _read_structures(predictions)
-    except _BAD_FIELD as exc:
-        raise SchemaMismatch(f"bad prediction file: {exc}") from exc
+    except BAD_FIELD as exc:
+        raise bad_field(SchemaMismatch, "prediction file", exc) from exc
     try:
         boxes = None if retrieved is None else _read_page_boxes(retrieved)
-    except _BAD_FIELD as exc:
-        raise SchemaMismatch(f"bad retrieved boxes: {exc}") from exc
+    except BAD_FIELD as exc:
+        raise bad_field(SchemaMismatch, "retrieved boxes file", exc) from exc
     report = EvalReport(doc_id=gold.doc_id)
     if gold.hierarchy:
         report.teds = teds(

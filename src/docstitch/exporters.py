@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 from json.encoder import encode_basestring as _quote
 
-from .errors import MalformedInput
+from .errors import BAD_FIELD, MalformedInput, bad_field
 from .jsonio import _INDENT, _float, _int, _value
 from .model import CanonicalElement, CoordUnit, ElementType, check_strings
 from .tree import DocNode, DocTree, NodeKind
@@ -165,10 +165,8 @@ def tree_from_dict(doc: dict) -> DocTree:
             coord_unit=CoordUnit(doc["coord_unit"]),
             root=_node_from_dict(doc["root"]),
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        if isinstance(exc, KeyError):
-            raise MalformedInput(f"tree is missing its {exc.args[0]} field") from exc
-        raise MalformedInput(f"tree has a bad field: {exc}") from exc
+    except BAD_FIELD as exc:
+        raise bad_field(MalformedInput, "tree", exc) from exc
 
 
 def tree_from_json(text: str) -> DocTree:
@@ -200,7 +198,8 @@ def _render_visual(node: DocNode, out: list[str]) -> None:
 
 def _render_node(node: DocNode, out: list[str]) -> None:
     if node.kind == NodeKind.SECTION and node.title_text is not None:
-        out.append("#" * max(1, node.level) + " " + node.title_text)
+        # Markdown has six heading levels; deeper sections share the sixth.
+        out.append("#" * min(6, max(1, node.level)) + " " + node.title_text)
         out.append("")
     if node.kind == NodeKind.VISUAL:
         _render_visual(node, out)

@@ -35,7 +35,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Union
 
-from .errors import BBoxInvalid, MalformedInput, SchemaUnknown
+from .errors import BAD_FIELD, BBoxInvalid, MalformedInput, SchemaUnknown, bad_field
+from .jsonio import read_json
 from .model import (
     CanonicalDocument,
     CanonicalElement,
@@ -43,6 +44,8 @@ from .model import (
     ElementType,
     bbox_is_valid,
     check_strings,
+    page_count_of,
+    string_list,
 )
 
 _REQUIRED_FIELDS = ("type", "page", "bbox")
@@ -53,31 +56,36 @@ class Profile:
     """One OCR-model mapping profile, loaded from its JSON description."""
 
     name: str
-    fields: dict[str, list[str]]
-    label_map: dict[str, str]
+    fields: dict[str, tuple[str, ...]]
+    label_map: dict[str, ElementType]
     drop_labels: frozenset[str]
     description: str = ""
 
     @classmethod
     def from_dict(cls, d: dict) -> Profile:
-        fields = {}
-        for canonical, raw in d.get("fields", {}).items():
-            fields[canonical] = [raw] if isinstance(raw, str) else list(raw)
-        missing = [f for f in _REQUIRED_FIELDS if f not in fields]
-        if missing:
-            raise MalformedInput(
-                f"profile {d.get('name', '?')!r} lacks field mappings for {missing}"
+        """Raises MalformedInput naming a missing or unreadable field."""
+        try:
+            fields = {
+                canonical: string_list([raw] if isinstance(raw, str) else raw)
+                for canonical, raw in d.get("fields", {}).items()
+            }
+            missing = [f for f in _REQUIRED_FIELDS if f not in fields]
+            if missing:
+                raise ValueError(f"no mapping for the canonical fields {missing}")
+            profile = cls(
+                name=str(d["name"]),
+                fields=fields,
+                label_map={k: ElementType(v) for k, v in d.get("label_map", {}).items()},
+                drop_labels=frozenset(string_list(d.get("drop_labels", []))),
+                description=d.get("description", ""),
             )
-        return cls(
-            name=d["name"],
-            fields=fields,
-            label_map={str(k): str(v) for k, v in d.get("label_map", {}).items()},
-            drop_labels=frozenset(d.get("drop_labels", [])),
-            description=d.get("description", ""),
-        )
+            check_strings(profile.name, profile.description)
+            return profile
+        except BAD_FIELD as exc:
+            raise bad_field(MalformedInput, "profile", exc) from exc
 
     def pick(self, block: dict, canonical_field: str) -> Any:
-        for key in self.fields.get(canonical_field, []):
+        for key in self.fields.get(canonical_field, ()):
             if key in block and block[key] is not None:
                 return block[key]
         return None
@@ -105,7 +113,7 @@ def load_profile(name_or_path: str) -> Profile:
         return profiles[name_or_path]
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
-        return Profile.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return Profile.from_dict(read_json(path))  # type: ignore[arg-type]
     raise SchemaUnknown(
         f"unknown profile {name_or_path!r}; registered: {sorted(profiles)}"
     )
@@ -148,12 +156,12 @@ def _as_block_list(raw_doc: Union[dict, list]) -> tuple[list[dict], dict]:
     raise MalformedInput(f"raw document must be a JSON array or object, got {type(raw_doc).__name__}")
 
 
-def _checked(where: str, convert: Callable[..., Any], *values: Any) -> Any:
+def _checked(where: str, convert: Callable[..., Any], *values: Any, key: str = "") -> Any:
     """``convert(*values)``; a value it rejects is MalformedInput naming ``where``."""
     try:
         return convert(*values)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{where}: {exc}") from exc
+    except BAD_FIELD as exc:
+        raise bad_field(MalformedInput, where, exc, key) from exc
 
 
 def normalize_elements(
@@ -180,16 +188,14 @@ def normalize_elements(
         if raw_label is None:
             raise MalformedInput(f"block #{pos} is missing its type field")
         raw_label = str(raw_label)
-        _checked(f"block #{pos} has a bad field", check_strings, raw_label)
+        _checked(f"block #{pos}", check_strings, raw_label)
         if raw_label in profile.drop_labels:
             report.dropped.append({"position": pos, "label": raw_label})
             continue
-        mapped = profile.label_map.get(raw_label)
-        if mapped is None:
+        etype = profile.label_map.get(raw_label)
+        if etype is None:
             report.count_unknown(raw_label)
             etype = ElementType.OTHER
-        else:
-            etype = ElementType(mapped)
 
         page = profile.pick(block, "page")
         if page is None:
@@ -211,14 +217,14 @@ def normalize_elements(
         asset_ref = profile.pick(block, "asset_ref")
         asset_ref = None if asset_ref is None else str(asset_ref)
         # Only strings that reach an artifact: a dropped block keeps its label.
-        _checked(f"block #{pos} has a bad field", check_strings, content, table_html, asset_ref)
+        _checked(f"block #{pos}", check_strings, content, table_html, asset_ref)
 
         elements.append(
             CanonicalElement(
                 idx=idx,
                 etype=etype,
                 content=content,
-                page=_checked(f"block #{pos} has a bad page field", int, page),
+                page=_checked(f"block #{pos}", int, page, key="page"),
                 bbox=bbox,  # type: ignore[arg-type]
                 table_html=table_html,
                 asset_ref=asset_ref,
@@ -231,12 +237,12 @@ def normalize_elements(
     if page_count is None:
         page_count = max((e.page for e in elements), default=0) + 1
     doc_id = str(meta.get("doc_id", doc_id))
-    _checked("document has a bad doc_id", check_strings, doc_id)
+    _checked("document", check_strings, doc_id, key="doc_id")
     document = CanonicalDocument(
         doc_id=doc_id,
-        page_count=_checked("document has a bad page_count", int, page_count),
+        page_count=_checked("document", page_count_of, page_count, key="page_count"),
         coord_unit=_checked(
-            "document has a bad coord_unit", CoordUnit, meta.get("coord_unit", "pixel")
+            "document", CoordUnit, meta.get("coord_unit", "pixel"), key="coord_unit"
         ),
         source_schema=profile.name,
         elements=elements,

@@ -1,4 +1,5 @@
-"""Pretty JSON text for the artifacts docstitch writes.
+"""The one reader of JSON input files, and pretty JSON text for the
+artifacts docstitch writes.
 
 ``dumps_pretty(obj)`` returns exactly ``json.dumps(obj, ensure_ascii=False,
 indent=2)``.  The stdlib serves any ``indent`` with its pure-Python,
@@ -15,7 +16,11 @@ for any other value.
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring as _quote
+from pathlib import Path
+
+from .errors import ConfigNotFound, SchemaMismatch
 
 _INDENT = "  "
 _int = int.__repr__
@@ -31,6 +36,18 @@ def _float(o: float) -> str:
     if o == -_INF:
         return "-Infinity"
     return _float_repr(o)
+
+
+def read_json(path: Path) -> object:
+    """The JSON value in the UTF-8 file at ``path``: every input file is read
+    here, so an unreadable path (ConfigNotFound) or bad JSON (SchemaMismatch)
+    gets the same code whichever file it is."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ConfigNotFound(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
 
 
 def dumps_pretty(obj: object) -> str:

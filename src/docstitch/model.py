@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import MalformedInput
+from .errors import BAD_FIELD, MalformedInput, bad_field
 from .jsonio import dumps_pretty
 
 
@@ -49,14 +49,28 @@ FURNITURE_TYPES = frozenset({ElementType.PAGE_HEADER, ElementType.PAGE_FOOTER})
 BBox = tuple[float, float, float, float]
 
 
-def bbox_is_valid(bbox: Sequence[float]) -> bool:
-    if len(bbox) != 4:
-        return False
+def bbox_is_valid(bbox: object) -> bool:
+    """Whether ``bbox`` unpacks into 4 floats with x0 < x1 and y0 < y1."""
     try:
-        x0, y0, x1, y1 = (float(v) for v in bbox)
-    except (TypeError, ValueError):
+        x0, y0, x1, y1 = map(float, bbox)  # type: ignore[call-overload]
+    except BAD_FIELD:
         return False
     return x0 < x1 and y0 < y1
+
+
+def page_count_of(value: object) -> int:
+    """A document's page count: an integer of at least 1."""
+    count = int(value)  # type: ignore[call-overload]
+    if count < 1:
+        raise ValueError(f"a document covers at least one page, got page_count {count}")
+    return count
+
+
+def string_list(value: object) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple; anything else is a TypeError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def check_strings(*values: object) -> None:
@@ -118,6 +132,8 @@ class CanonicalElement:
             d.get("asset_ref"),
         )
         check_strings(element.content, element.table_html, element.asset_ref)
+        if len(element.bbox) != 4:
+            raise ValueError(f"bbox {d['bbox']!r} does not hold 4 numbers")
         return element
 
 
@@ -170,16 +186,14 @@ class CanonicalDocument:
             check_strings(doc_id)
             return cls(
                 doc_id=doc_id,
-                page_count=int(d["page_count"]),
+                page_count=page_count_of(d["page_count"]),
                 coord_unit=CoordUnit(d.get("coord_unit", "pixel")),
                 source_schema=d.get("source_schema", "generic"),
                 elements=elements,
             )
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except BAD_FIELD as exc:
             where = "document" if pos is None else f"element #{pos}"
-            if isinstance(exc, KeyError):
-                raise MalformedInput(f"{where} is missing its {exc.args[0]} field") from exc
-            raise MalformedInput(f"{where} has a bad field: {exc}") from exc
+            raise bad_field(MalformedInput, where, exc) from exc
 
     @classmethod
     def from_json(cls, text: str) -> CanonicalDocument:

@@ -27,7 +27,7 @@ from .chunking import (
     plan_chunks,
     synchronize_hierarchy,
 )
-from .errors import ConfigError
+from .errors import BAD_FIELD, ConfigError, bad_field
 from .filtering import (
     ASSOCIATION_TYPES,
     FilterConfig,
@@ -36,7 +36,7 @@ from .filtering import (
     filter_text_truncation_candidates,
     filter_titles,
 )
-from .model import CanonicalDocument, ElementType, PageIndex, validate_document
+from .model import CanonicalDocument, ElementType, PageIndex, string_list, validate_document
 from .predictors import FallbackPredictor, Predictor, RulePredictor
 from .predictors.remote import RemotePredictor
 from .tables import TableGrids
@@ -113,15 +113,15 @@ class PipelineConfig:
                 continue
             try:
                 value = convert(values[key])
-            except (TypeError, ValueError) as exc:
+            except BAD_FIELD as exc:
                 where = key if section is None else f"{section}.{key}"
-                raise ConfigError(f"bad config value for {where}: {exc}") from exc
+                raise bad_field(ConfigError, "config", exc, where) from exc
             owner, _, name = target.rpartition(".")
             given[owner][name] = value
         try:
             rules = TextRules(**given["rules"])
         except re.error as exc:
-            raise ConfigError(f"bad config value for filters.prefix_patterns: {exc}") from exc
+            raise bad_field(ConfigError, "config", exc, "filters.prefix_patterns") from exc
         return cls(filters=FilterConfig(rules=rules, **given["filters"]), **given[""])
 
 
@@ -161,12 +161,6 @@ def _str(value: Any) -> str:
     return value
 
 
-def _strings(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(_str(v) for v in value)
-
-
 def _band(value: Any) -> tuple[float, float]:
     low, high = value
     return (_float(low), _float(high))
@@ -190,12 +184,12 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
     ("tree", "summarizer_url"): ("summarizer_url", _str),
     ("tree", "summary_cap_chars"): ("summary_cap_chars", _count),
     ("tree", "summary_max_sentences"): ("summary_max_sentences", _count),
-    ("export", "formats"): ("export_formats", _strings),
-    ("filters", "terminators"): ("rules.terminators", lambda v: frozenset(_strings(v))),
-    ("filters", "prefix_patterns"): ("rules.prefix_patterns", _strings),
+    ("export", "formats"): ("export_formats", string_list),
+    ("filters", "terminators"): ("rules.terminators", lambda v: frozenset(string_list(v))),
+    ("filters", "prefix_patterns"): ("rules.prefix_patterns", string_list),
     ("filters", "sentence_cap_chars"): ("rules.sentence_cap_chars", _count),
     ("filters", "width_band"): ("filters.width_band", _band),
-    ("filters", "continuation_markers"): ("filters.continuation_markers", _strings),
+    ("filters", "continuation_markers"): ("filters.continuation_markers", string_list),
     ("filters", "row_window"): ("filters.row_window", _count),
 }
 

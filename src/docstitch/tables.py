@@ -17,7 +17,7 @@ from .errors import ColumnMismatch, TableHtmlUnparseable
 from .model import CanonicalElement
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogicalCell:
     text: str
     rowspan: int = 1
@@ -89,13 +89,10 @@ class TableGrid:
                 origin_r = max(orow, start) - start
                 if (origin_r, ocol) in new_cells:
                     continue
-                span_end = min(orow + cell.rowspan, stop) - start
-                new_cells[(origin_r, ocol)] = LogicalCell(
-                    text=cell.text,
-                    rowspan=span_end - origin_r,
-                    colspan=cell.colspan,
-                    header=cell.header,
-                )
+                span = min(orow + cell.rowspan, stop) - start - origin_r
+                if span != cell.rowspan:  # clipped at a cut line
+                    cell = LogicalCell(cell.text, span, cell.colspan, cell.header)
+                new_cells[(origin_r, ocol)] = cell
         return TableGrid(new_cells, stop - start, self.n_cols)
 
     def row_window(self, n: int, tail: bool) -> TableGrid:
@@ -315,10 +312,7 @@ def merge_grids(
     upper_last = [upper.cells[upper.owners[boundary_u][c]] for c in range(upper.n_cols)]  # type: ignore[index]
     lower_first = [lower.cells[lower.owners[0][c]] for c in range(lower.n_cols)]  # type: ignore[index]
 
-    cells: dict[tuple[int, int], LogicalCell] = {}
-    for (r, c), cell in upper.cells.items():
-        if r < boundary_u:
-            cells[(r, c)] = LogicalCell(cell.text, cell.rowspan, cell.colspan, cell.header)
+    cells = {origin: cell for origin, cell in upper.cells.items() if origin[0] < boundary_u}
 
     all_fused = len(fused_cols) == upper.n_cols
     for j in range(upper.n_cols):
@@ -339,7 +333,7 @@ def merge_grids(
     for (r, c), cell in lower.cells.items():
         if r == 0:
             continue
-        cells[(r - 1 + offset, c)] = LogicalCell(cell.text, cell.rowspan, cell.colspan, cell.header)
+        cells[(r - 1 + offset, c)] = cell
 
     n_rows = boundary_u + boundary_rows + (lower.n_rows - 1)
     grid = TableGrid(cells, n_rows, upper.n_cols)
@@ -347,9 +341,7 @@ def merge_grids(
 
 
 def _stack(upper: TableGrid, lower: TableGrid) -> TableGrid:
-    cells: dict[tuple[int, int], LogicalCell] = {}
-    for (r, c), cell in upper.cells.items():
-        cells[(r, c)] = LogicalCell(cell.text, cell.rowspan, cell.colspan, cell.header)
+    cells = dict(upper.cells)
     for (r, c), cell in lower.cells.items():
-        cells[(r + upper.n_rows, c)] = LogicalCell(cell.text, cell.rowspan, cell.colspan, cell.header)
+        cells[(r + upper.n_rows, c)] = cell
     return TableGrid(cells, upper.n_rows + lower.n_rows, upper.n_cols)

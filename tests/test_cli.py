@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
+from typing import Iterable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import docstitch.cli
+from docstitch import errors
 from docstitch.cli import _process_one, main
 from docstitch.pipeline import PipelineConfig
 
@@ -70,6 +77,62 @@ def test_normalize_unknown_profile_fails_cleanly(capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "ingest.SchemaUnknown"
+
+
+CUSTOM_PROFILE = {
+    "name": "custom",
+    "fields": {"type": "t", "content": "c", "page": "p", "bbox": "b"},
+    "label_map": {"body": "text"},
+}
+
+
+@pytest.mark.parametrize(
+    "content, code, status",
+    [
+        ({k: v for k, v in CUSTOM_PROFILE.items() if k != "name"}, "ingest.MalformedInput", 3),
+        ({**CUSTOM_PROFILE, "fields": ["t", "c", "p", "b"]}, "ingest.MalformedInput", 3),
+        (
+            {**CUSTOM_PROFILE, "fields": {**CUSTOM_PROFILE["fields"], "type": [["t"]]}},
+            "ingest.MalformedInput", 3,
+        ),
+        ({**CUSTOM_PROFILE, "label_map": {"body": "paragraph"}}, "ingest.MalformedInput", 3),
+        ({**CUSTOM_PROFILE, "drop_labels": "text"}, "ingest.MalformedInput", 3),
+        ("{not json", "eval.SchemaMismatch", 3),
+        (None, "cli.ConfigNotFound", 2),
+    ],
+    ids=["no-name", "fields-a-list", "mapping-nested", "unknown-type", "drop-labels-a-string",
+         "not-json", "a-directory"],
+)
+def test_normalize_malformed_profile_file_fails_cleanly(tmp_path, capsys, content, code, status):
+    profile = tmp_path / "custom.json"
+    if content is None:
+        profile.mkdir()
+    else:
+        profile.write_text(content if isinstance(content, str) else json.dumps(content))
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps([
+        {"t": "body", "c": "hi", "p": 0, "b": [0, 0, 1, 1]},
+        {"t": "text", "c": "there", "p": 0, "b": [0, 2, 1, 3]},
+    ]))
+    assert run_cli("normalize", str(raw), "--profile", str(profile)) == status
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == code
+
+
+def test_readme_error_table_lists_every_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Error codes", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    listed = {code.strip().strip("`"): exit_.strip() for code, _, exit_ in rows}
+
+    def codes(cls: type) -> list[type]:
+        return [cls] + [sub for child in cls.__subclasses__() for sub in codes(child)]
+
+    classes = codes(errors.DocstitchError)
+    assert sorted(listed) == sorted(cls.code for cls in classes)
+    for cls in classes:  # config errors exit 2, input errors 3
+        if listed[cls.code] != "none":
+            assert listed[cls.code] == ("2" if issubclass(cls, errors.ConfigError) else "3"), cls.code
 
 
 def test_process_reproduces_pinned_goldens(tmp_path):
@@ -152,6 +215,7 @@ def test_process_wrong_typed_config_values_exit_2(tmp_path, capsys):
         {"filters": {"width_band": 5}},
         {"chunking": {"stride": 2.5, "threshold": "1"}},
         {"predictor": {"timeout_s": True}},
+        {"predictor": {"timeout_s": 10**400}},
         {"filters": {"width_band": ["0.5", True]}},
         {"filters": {"row_window": -1}},
         {"tree": {"summary_max_sentences": -1}},
@@ -185,22 +249,31 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
             {**typed, "table_html": 5},
             {**typed, "idx": float("inf")},
             {**typed, "page": float("inf")},
+            {**typed, "bbox": [0, 0]},
         )
     ] + [
-        ({"doc_id": "d", "page_count": float("inf"), "elements": [typed]}, "document "),
+        ({"doc_id": "d", "page_count": count, "elements": [typed]}, "document ")
+        for count in (float("inf"), 0, -3)
     ] + [
         # Raw MinerU blocks: a bad page, coordinate unit or page count.
         ([{**block, "page_idx": "one"}], "block #0 has a bad page field"),
+        ([{**block, "page_idx": float("inf")}], "block #0 has a bad page field"),
         ({"blocks": [block], "coord_unit": "inches"}, "document has a bad coord_unit"),
         ({"blocks": [block], "page_count": "x"}, "document has a bad page_count"),
+        ({"blocks": [block], "page_count": float("inf")}, "document has a bad page_count"),
+        ({"blocks": [block], "page_count": 0}, "document has a bad page_count"),
+        ([{**block, "page_idx": -2}], "document has a bad page_count"),
     ]
-    for raw, where in cases:
+    coded = [(raw, where, "ingest.MalformedInput") for raw, where in cases] + [
+        ([{**block, "bbox": 5}], "block #0 has invalid bbox", "ingest.BBoxInvalid"),
+    ]
+    for raw, where, error in coded:
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps(raw))
         code = run_cli("process", str(doc), "--profile", "mineru", "--out-dir", str(tmp_path / "out"))
         assert code == 3
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == "ingest.MalformedInput"
+        assert err["error"]["code"] == error
         assert err["error"]["message"].startswith(where)
 
 
@@ -507,10 +580,22 @@ def test_eval_corrupted_gold_fails_with_schema_mismatch(tmp_path, capsys):
     assert err["error"]["code"] == "eval.SchemaMismatch"
 
 
-def test_eval_wrong_shaped_predictions_fail_with_schema_mismatch(tmp_path, capsys):
-    pred = tmp_path / "pred.json"
-    pred.write_text(json.dumps({"hierarchy": [1, 2]}))
-    code = run_cli("eval", "--pred", str(pred), "--gold", str(GOLD_DIR / "field_manual.gold.json"))
+@pytest.mark.parametrize(
+    "pred, gold_fields",
+    [
+        ({"hierarchy": [1, 2]}, {}),
+        ({"hierarchy": {"0": float("inf")}}, {}),
+        ({"text_pairs": [[float("inf"), 1]]}, {}),
+        ({"doc_id": "field_manual"}, {"hierarchy": {"1": float("inf")}}),
+    ],
+    ids=["hierarchy-not-object", "level-infinite", "pair-infinite", "gold-level-infinite"],
+)
+def test_eval_wrong_shaped_predictions_fail_with_schema_mismatch(tmp_path, capsys, pred, gold_fields):
+    gold = {**json.loads((GOLD_DIR / "field_manual.gold.json").read_text()), **gold_fields}
+    gold_path, pred_path = tmp_path / "gold.json", tmp_path / "pred.json"
+    gold_path.write_text(json.dumps(gold))
+    pred_path.write_text(json.dumps(pred))
+    code = run_cli("eval", "--pred", str(pred_path), "--gold", str(gold_path))
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "eval.SchemaMismatch"
@@ -523,8 +608,9 @@ def test_eval_wrong_shaped_predictions_fail_with_schema_mismatch(tmp_path, capsy
         ([[0, [0, 0, 1]]], None),
         ({"0": [0, 0, 1, 1]}, None),
         ([[0, [0, 0, 1, 1]]], [[0, [0, 0, 1]]]),
+        ([[float("inf"), [0, 0, 1, 1]]], None),
     ],
-    ids=["page-not-int", "3-number-box", "not-a-list", "3-number-gold-box"],
+    ids=["page-not-int", "3-number-box", "not-a-list", "3-number-gold-box", "page-infinite"],
 )
 def test_eval_malformed_boxes_fail_with_schema_mismatch(tmp_path, capsys, retrieved, evidence):
     gold = json.loads((GOLD_DIR / "field_manual.gold.json").read_text())
@@ -647,3 +733,90 @@ def test_make_corpus_check_reports_no_difference():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("no difference:")
+
+
+HOSTILE = [
+    float("inf"), float("-inf"), float("nan"), 2**70, -1, 0, "x", "", [], {}, None, True, 2.5,
+    "\ud800", [1, 2],
+]
+# A page or page count above 10**4 makes the pipeline allocate per page.
+PAGE_KEYS = {"page", "page_idx", "page_count"}
+
+
+def _reader_cases() -> dict[str, tuple[str, object, list[str]]]:
+    """Per reader: the file it reads, a valid body, and the argv with
+    {file} standing for that file's path."""
+    gold = json.loads((GOLD_DIR / "field_manual.gold.json").read_text())
+    fields = ("doc_id", "hierarchy", "text_pairs", "assoc_pairs", "table_judgements")
+    pred = {k: gold[k] for k in fields}
+    canonical = json.loads((CORPUS_DIR / "field_manual.json").read_text())
+    raw = json.loads((RAW / "mineru_blocks.json").read_text())
+    tree = json.loads((GOLDEN_DIR / "field_manual.tree.json").read_text())
+    gold_path, pred_path = str(GOLD_DIR / "field_manual.gold.json"), "{pred}"
+    return {
+        "process": ("doc.json", canonical, ["process", "{file}", "--out-dir", "{out}"]),
+        "process-mineru": (
+            "doc.json", raw, ["process", "{file}", "--profile", "mineru", "--out-dir", "{out}"],
+        ),
+        "normalize": (
+            "doc.json", raw, ["normalize", "{file}", "--profile", "mineru", "--out", "{out}/c.json"],
+        ),
+        "export-json": (
+            "tree.json", tree, ["export", "{file}", "--format", "json", "--out", "{out}/t.json"],
+        ),
+        "export-markdown": ("tree.json", tree, ["export", "{file}", "--out", "{out}/t.md"]),
+        "eval-pred": ("prediction.json", pred, ["eval", "--pred", "{file}", "--gold", gold_path]),
+        "eval-gold": ("gold.json", gold, ["eval", "--pred", pred_path, "--gold", "{file}"]),
+        "eval-retrieved": (
+            "boxes.json", gold["evidence_gold"],
+            ["eval", "--pred", pred_path, "--gold", gold_path, "--retrieved", "{file}"],
+        ),
+    }
+
+
+READERS = _reader_cases()
+
+
+def _paths(value: object, prefix: tuple = ()) -> list[tuple]:
+    """The path of every value nested in ``value``."""
+    if isinstance(value, dict):
+        items: Iterable = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(child, prefix + (key,)))
+    return out
+
+
+def _replaced(value: object, path: tuple, new: object) -> object:
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)  # type: ignore[call-overload]
+    copy[path[0]] = _replaced(copy[path[0]], path[1:], new)
+    return copy
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_reader_survives_one_hostile_field(data):
+    reader = data.draw(st.sampled_from(sorted(READERS)), label="reader")
+    name, body, argv = READERS[reader]
+    path = data.draw(st.sampled_from(_paths(body)), label="path")
+    values = [v for v in HOSTILE if not (path[-1] in PAGE_KEYS and v == 2**70)]
+    value = data.draw(st.sampled_from(values), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        target, pred = Path(tmp) / name, Path(tmp) / "pred.json"
+        target.write_text(json.dumps(_replaced(body, path, value)))
+        pred.write_text(json.dumps(READERS["eval-pred"][1]))
+        args = [a.format(file=target, out=out, pred=pred) for a in argv]
+        # A UTF-8 stream that, like a terminal, refuses lone surrogates.
+        streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
+        with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+            code = main(args)
+            for stream in streams:
+                stream.flush()
+    assert code in (0, 2, 3)

@@ -85,6 +85,13 @@ def test_hierarchy_tree_uses_parent_rule():
     assert [c.label for c in tree.children[0].children] == ["B", "C"]
 
 
+def test_hierarchy_tree_counts_levels_below_1_as_1():
+    titles = {1: "A", 2: "B", 3: "C", 4: "D"}
+    tree = hierarchy_tree({1: 0, 2: 2, 3: -3, 4: 2}, titles)
+    assert tree == hierarchy_tree({1: 1, 2: 2, 3: 1, 4: 2}, titles)
+    assert [c.label for c in tree.children] == ["A", "C"]
+
+
 def test_hierarchy_tree_skips_demotions_and_normalizes_labels():
     tree = hierarchy_tree({1: 1, 2: -1}, {1: "  spaced   title ", 2: "gone"})
     assert [c.label for c in tree.children] == ["spaced title"]
