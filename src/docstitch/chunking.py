@@ -8,7 +8,7 @@ reference elements to calibrate chunk-level predictions against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 from .errors import BadConfig
 from .model import ElementType
@@ -137,6 +137,27 @@ class ChunkPrediction:
     payload: Any
 
 
+def _in_chunk_order(chunk_preds: Sequence[ChunkPrediction]) -> list[ChunkPrediction]:
+    return sorted(chunk_preds, key=lambda p: p.chunk_index)
+
+
+class _EarliestWins:
+    """The one sync rule: the earliest chunk's value for a key stands, and a
+    later, different value is recorded as ``{label, kept, discarded, chunk}``
+    (a pair key as a list).  Values must be offered in chunk order."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.values: dict = {}
+        self.conflicts: list[dict] = []
+
+    def offer(self, key: Hashable, value: Any, chunk: int) -> None:
+        kept = self.values.setdefault(key, value)
+        if kept != value:
+            shown = list(key) if isinstance(key, tuple) else key
+            self.conflicts.append({self.label: shown, "kept": kept, "discarded": value, "chunk": chunk})
+
+
 @dataclass
 class SyncResult:
     levels: dict[int, int]
@@ -154,36 +175,20 @@ def synchronize_hierarchy(chunk_preds: Sequence[ChunkPrediction]) -> SyncResult:
     earlier chunk.  Demoted titles (level -1) neither shift nor contribute
     to the deviation.  Final levels are clamped to >= 1.
     """
-    result = SyncResult(levels={})
-    final = result.levels
-    for k, pred in enumerate(sorted(chunk_preds, key=lambda p: p.chunk_index)):
+    rule = _EarliestWins("idx")
+    final = rule.values
+    result = SyncResult(levels=final, conflicts=rule.conflicts)
+    for k, pred in enumerate(_in_chunk_order(chunk_preds)):
         raw: dict[int, int] = dict(pred.payload)
-        if k == 0:
-            calibrated = dict(raw)
-            result.deviations.append(0)
-        else:
-            overlap = [
-                i for i in raw if i in final and raw[i] != -1 and final[i] != -1
-            ]
-            if overlap:
-                deviation = round_half_away(
-                    sum(final[i] - raw[i] for i in overlap) / len(overlap)
-                )
-            else:
-                deviation = 0
-                result.empty_overlaps.append(pred.chunk_index)
-            result.deviations.append(deviation)
-            calibrated = {
-                i: (lvl if lvl == -1 else lvl + deviation) for i, lvl in raw.items()
-            }
-        for i, lvl in calibrated.items():
-            if i in final:
-                if final[i] != lvl:
-                    result.conflicts.append(
-                        {"idx": i, "kept": final[i], "discarded": lvl, "chunk": pred.chunk_index}
-                    )
-                continue
-            final[i] = lvl
+        overlap = [i for i in raw if i in final and raw[i] != -1 and final[i] != -1]
+        deviation = 0
+        if overlap:
+            deviation = round_half_away(sum(final[i] - raw[i] for i in overlap) / len(overlap))
+        elif k:
+            result.empty_overlaps.append(pred.chunk_index)
+        result.deviations.append(deviation)
+        for i, lvl in raw.items():
+            rule.offer(i, lvl if lvl == -1 else lvl + deviation, pred.chunk_index)
     for i, lvl in final.items():
         if lvl != -1 and lvl < 1:
             final[i] = 1
@@ -199,29 +204,18 @@ class UnionResult:
 def merge_union(
     chunk_preds: Sequence[ChunkPrediction], unique_src: bool = False
 ) -> UnionResult:
-    """Union of per-chunk pair sets keyed by (src, tgt).
+    """Union of per-chunk (src, tgt) pair sets.
 
     With ``unique_src`` (association), a src that already resolved to a
     different tgt in an earlier chunk keeps the earlier link; the later one
-    is recorded as a conflict.
+    is recorded as a conflict.  Without it every pair is its own key.
     """
-    result = UnionResult(pairs=[])
-    seen: set[tuple[int, int]] = set()
-    by_src: dict[int, int] = {}
-    for pred in sorted(chunk_preds, key=lambda p: p.chunk_index):
+    rule = _EarliestWins("src")
+    for pred in _in_chunk_order(chunk_preds):
         for src, tgt in pred.payload:
-            if (src, tgt) in seen:
-                continue
-            if unique_src and src in by_src:
-                result.conflicts.append(
-                    {"src": src, "kept": by_src[src], "discarded": tgt, "chunk": pred.chunk_index}
-                )
-                continue
-            seen.add((src, tgt))
-            by_src[src] = tgt
-            result.pairs.append((src, tgt))
-    result.pairs.sort()
-    return result
+            rule.offer(src if unique_src else (src, tgt), tgt, pred.chunk_index)
+    pairs = sorted(rule.values.items()) if unique_src else sorted(rule.values)
+    return UnionResult(pairs=pairs, conflicts=rule.conflicts)
 
 
 @dataclass
@@ -232,22 +226,45 @@ class TableUnionResult:
 
 def merge_table_union(chunk_preds: Sequence[ChunkPrediction]) -> TableUnionResult:
     """Union of per-chunk table judgements keyed by the table pair."""
-    result = TableUnionResult(judgements=[])
-    seen: dict[tuple[int, int], list[int]] = {}
-    for pred in sorted(chunk_preds, key=lambda p: p.chunk_index):
+    rule = _EarliestWins("pair")
+    for pred in _in_chunk_order(chunk_preds):
         for upper, lower, judgement in pred.payload:
-            key = (upper, lower)
-            if key in seen:
-                if seen[key] != list(judgement):
-                    result.conflicts.append(
-                        {
-                            "pair": list(key),
-                            "kept": seen[key],
-                            "discarded": list(judgement),
-                            "chunk": pred.chunk_index,
-                        }
-                    )
-                continue
-            seen[key] = list(judgement)
-    result.judgements = [(u, l, seen[(u, l)]) for (u, l) in sorted(seen)]
-    return result
+            rule.offer((upper, lower), list(judgement), pred.chunk_index)
+    judgements = [(u, l, j) for (u, l), j in sorted(rule.values.items())]
+    return TableUnionResult(judgements=judgements, conflicts=rule.conflicts)
+
+
+@dataclass
+class DocumentPredictions:
+    """Document-level predictions after cross-chunk synchronization, and the
+    layout of a predictions file."""
+
+    hierarchy: dict[int, int] = field(default_factory=dict)
+    text_pairs: list[tuple[int, int]] = field(default_factory=list)
+    assoc_pairs: list[tuple[int, int]] = field(default_factory=list)
+    table_judgements: list[tuple[int, int, list[int]]] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "hierarchy": {str(k): v for k, v in sorted(self.hierarchy.items())},
+            "text_pairs": [list(p) for p in self.text_pairs],
+            "assoc_pairs": [list(p) for p in self.assoc_pairs],
+            "table_judgements": [
+                {"upper_idx": u, "lower_idx": l, "judgement": j}
+                for u, l, j in self.table_judgements
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> DocumentPredictions:
+        """The ``to_dict`` layout, typed; a missing field is empty.  A bad
+        field raises one of ``errors.BAD_FIELD`` for the caller to name."""
+        return cls(
+            hierarchy={int(k): int(v) for k, v in d.get("hierarchy", {}).items()},
+            text_pairs=[(int(a), int(b)) for a, b in d.get("text_pairs", [])],
+            assoc_pairs=[(int(a), int(b)) for a, b in d.get("assoc_pairs", [])],
+            table_judgements=[
+                (int(j["upper_idx"]), int(j["lower_idx"]), [int(v) for v in j["judgement"]])
+                for j in d.get("table_judgements", [])
+            ],
+        )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from .chunking import DocumentPredictions
 from .errors import BAD_FIELD, SchemaMismatch, bad_field
 from .model import check_strings
 
@@ -304,19 +305,6 @@ def bbox_scores(retrieved: Sequence[PageBox], gold: Sequence[PageBox]) -> BBoxSc
 # -- gold annotations and the aggregate report ---------------------------
 
 
-def _read_structures(d: dict) -> dict:
-    """The subtask fields that gold and prediction files share, typed."""
-    return {
-        "hierarchy": {int(k): int(v) for k, v in d.get("hierarchy", {}).items()},
-        "text_pairs": [(int(a), int(b)) for a, b in d.get("text_pairs", [])],
-        "assoc_pairs": [(int(a), int(b)) for a, b in d.get("assoc_pairs", [])],
-        "table_judgements": [
-            (int(j["upper_idx"]), int(j["lower_idx"]), [int(v) for v in j["judgement"]])
-            for j in d.get("table_judgements", [])
-        ],
-    }
-
-
 def _read_page_boxes(raw: object) -> list[PageBox]:
     """``[[page, [x0, y0, x1, y1]], ...]``, typed."""
     if not isinstance(raw, list):
@@ -330,16 +318,13 @@ def _read_page_boxes(raw: object) -> list[PageBox]:
     return boxes
 
 
-@dataclass
-class GoldAnnotations:
-    """Per-document gold structures for every subtask (fixture format v1)."""
+@dataclass(kw_only=True)
+class GoldAnnotations(DocumentPredictions):
+    """Per-document gold structures for every subtask (fixture format v1):
+    the predictions layout plus title texts and evidence boxes."""
 
     doc_id: str
-    hierarchy: dict[int, int] = field(default_factory=dict)
     titles: dict[int, str] = field(default_factory=dict)
-    text_pairs: list[tuple[int, int]] = field(default_factory=list)
-    assoc_pairs: list[tuple[int, int]] = field(default_factory=list)
-    table_judgements: list[tuple[int, int, list[int]]] = field(default_factory=list)
     evidence_gold: list[PageBox] = field(default_factory=list)
 
     @classmethod
@@ -351,7 +336,7 @@ class GoldAnnotations:
                 doc_id=str(d["doc_id"]),
                 titles={int(k): str(v) for k, v in d.get("titles", {}).items()},
                 evidence_gold=_read_page_boxes(d.get("evidence_gold", [])),
-                **_read_structures(d),
+                **vars(DocumentPredictions.from_dict(d)),
             )
             check_strings(gold.doc_id)  # the report names it
             return gold
@@ -359,17 +344,13 @@ class GoldAnnotations:
             raise bad_field(SchemaMismatch, "gold annotation file", exc) from exc
 
     def to_dict(self) -> dict:
-        return {
+        structures = super().to_dict()
+        return {  # in the fixture files' key order
             "format_version": 1,
             "doc_id": self.doc_id,
-            "hierarchy": {str(k): v for k, v in sorted(self.hierarchy.items())},
+            "hierarchy": structures.pop("hierarchy"),
             "titles": {str(k): v for k, v in sorted(self.titles.items())},
-            "text_pairs": [list(p) for p in self.text_pairs],
-            "assoc_pairs": [list(p) for p in self.assoc_pairs],
-            "table_judgements": [
-                {"upper_idx": u, "lower_idx": l, "judgement": j}
-                for u, l, j in self.table_judgements
-            ],
+            **structures,
             "evidence_gold": [[p, list(b)] for p, b in self.evidence_gold],
         }
 
@@ -431,7 +412,7 @@ def evaluate(
     ``retrieved`` is the raw ``[[page, [x0, y0, x1, y1]], ...]`` list.
     """
     try:
-        pred = _read_structures(predictions)
+        pred = DocumentPredictions.from_dict(predictions)
     except BAD_FIELD as exc:
         raise bad_field(SchemaMismatch, "prediction file", exc) from exc
     try:
@@ -441,13 +422,13 @@ def evaluate(
     report = EvalReport(doc_id=gold.doc_id)
     if gold.hierarchy:
         report.teds = teds(
-            hierarchy_tree(pred["hierarchy"], gold.titles),
+            hierarchy_tree(pred.hierarchy, gold.titles),
             hierarchy_tree(gold.hierarchy, gold.titles),
         )
-    report.text_prf = pair_prf(pred["text_pairs"], gold.text_pairs)
-    report.assoc_prf = pair_prf(pred["assoc_pairs"], gold.assoc_pairs)
+    report.text_prf = pair_prf(pred.text_pairs, gold.text_pairs)
+    report.assoc_prf = pair_prf(pred.assoc_pairs, gold.assoc_pairs)
     if gold.table_judgements:
-        judged = {(u, l): j for u, l, j in pred["table_judgements"]}
+        judged = {(u, l): j for u, l, j in pred.table_judgements}
         report.merge = merge_accuracy(
             [judged.get((u, l), []) for u, l, _ in gold.table_judgements],
             [j for _, _, j in gold.table_judgements],

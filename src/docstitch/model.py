@@ -58,11 +58,18 @@ def bbox_is_valid(bbox: object) -> bool:
     return x0 < x1 and y0 < y1
 
 
+# Chunk planning and page profiles allocate per page, so a page count is
+# bounded: 55 times the 1,800 pages of the long_report benchmark document.
+MAX_PAGES = 100_000
+
+
 def page_count_of(value: object) -> int:
-    """A document's page count: an integer of at least 1."""
+    """A document's page count: an integer from 1 to ``MAX_PAGES``."""
     count = int(value)  # type: ignore[call-overload]
     if count < 1:
         raise ValueError(f"a document covers at least one page, got page_count {count}")
+    if count > MAX_PAGES:
+        raise ValueError(f"a document covers at most {MAX_PAGES} pages, got page_count {count}")
     return count
 
 

@@ -21,6 +21,7 @@ from .chunking import (
     ChunkPlan,
     ChunkPlanConfig,
     ChunkPrediction,
+    DocumentPredictions,
     PageProfile,
     merge_table_union,
     merge_union,
@@ -192,27 +193,6 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
     ("filters", "continuation_markers"): ("filters.continuation_markers", string_list),
     ("filters", "row_window"): ("filters.row_window", _count),
 }
-
-
-@dataclass
-class DocumentPredictions:
-    """Document-level predictions after cross-chunk synchronization."""
-
-    hierarchy: dict[int, int] = field(default_factory=dict)
-    text_pairs: list[tuple[int, int]] = field(default_factory=list)
-    assoc_pairs: list[tuple[int, int]] = field(default_factory=list)
-    table_judgements: list[tuple[int, int, list[int]]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "hierarchy": {str(k): v for k, v in sorted(self.hierarchy.items())},
-            "text_pairs": [list(p) for p in self.text_pairs],
-            "assoc_pairs": [list(p) for p in self.assoc_pairs],
-            "table_judgements": [
-                {"upper_idx": u, "lower_idx": l, "judgement": j}
-                for u, l, j in self.table_judgements
-            ],
-        }
 
 
 @dataclass
@@ -399,24 +379,19 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
                 payload.extend(items)
             chunk_preds[task.name].append(ChunkPrediction(chunk, payload))
 
-    predictions = DocumentPredictions()
     sync = synchronize_hierarchy(chunk_preds["hierarchy"])
-    predictions.hierarchy = dict(sorted(sync.levels.items()))
+    text = merge_union(chunk_preds["text"])
+    assoc = merge_union(chunk_preds["association"], unique_src=True)
+    tables = merge_table_union(chunk_preds["table"])
+    predictions = DocumentPredictions(
+        dict(sorted(sync.levels.items())), text.pairs, assoc.pairs, tables.judgements
+    )
     report.sync = {
         "deviations": sync.deviations,
         "empty_overlaps": sync.empty_overlaps,
         "conflicts": sync.conflicts,
     }
-
-    text_union = merge_union(chunk_preds["text"])
-    predictions.text_pairs = text_union.pairs
-    assoc_union = merge_union(chunk_preds["association"], unique_src=True)
-    predictions.assoc_pairs = assoc_union.pairs
-    report.union_conflicts = text_union.conflicts + assoc_union.conflicts
-
-    table_union = merge_table_union(chunk_preds["table"])
-    report.union_conflicts.extend(table_union.conflicts)
-    predictions.table_judgements = table_union.judgements
+    report.union_conflicts = text.conflicts + assoc.conflicts + tables.conflicts
 
     resolved = apply_predictions(doc, predictions, run.grids)
     # Nothing below reads the parsed tables; freeing them before the tree is

@@ -16,6 +16,14 @@ from typing import Callable, Optional
 from .errors import ColumnMismatch, TableHtmlUnparseable
 from .model import CanonicalElement
 
+# The WHATWG HTML table model clamps colspan to 1000
+# (https://html.spec.whatwg.org/multipage/tables.html#attr-tdth-colspan).
+MAX_COLSPAN = 1000
+# The largest expanded grid parse_table builds: a 1000-row, 100-column
+# table, about 0.1 s and 20 MB to parse.  The largest table in the test
+# fixtures and the benchmark documents has 9 slots.
+MAX_GRID_SLOTS = 100_000
+
 
 @dataclass(frozen=True)
 class LogicalCell:
@@ -150,7 +158,7 @@ class _TableHtmlParser(HTMLParser):
             a = dict(attrs)
             try:
                 rowspan = max(1, int(a.get("rowspan") or 1))
-                colspan = max(1, int(a.get("colspan") or 1))
+                colspan = min(MAX_COLSPAN, max(1, int(a.get("colspan") or 1)))
             except ValueError:
                 rowspan, colspan = 1, 1
             self._cell = []
@@ -194,8 +202,10 @@ class _TableHtmlParser(HTMLParser):
 def parse_table(html: str) -> TableGrid:
     """Parse an HTML table into a rectangular grid.
 
-    Rowspans are clamped to the table height.  Ragged tables (rows whose
-    expanded widths disagree) are rejected rather than padded.
+    Rowspans are clamped to the table height and colspans to
+    ``MAX_COLSPAN``.  Ragged tables (rows whose expanded widths disagree)
+    are rejected rather than padded, and so is a grid of more than
+    ``MAX_GRID_SLOTS`` slots.
     """
     if not html or "<" not in html:
         raise TableHtmlUnparseable("empty or non-HTML table body")
@@ -216,12 +226,19 @@ def parse_table(html: str) -> TableGrid:
     # occupancy[r] is the set of columns already covered in row r by spans
     occupied: list[set[int]] = [set() for _ in range(n_rows)]
     n_cols = 0
+    slots = 0
     for r, row in enumerate(raw_rows):
         col = 0
         for text_, rowspan, colspan, header in row:
             while col in occupied[r]:
                 col += 1
             rowspan = min(rowspan, n_rows - r)
+            # A rectangular grid covers each of its rows x columns slots
+            # once; counting both refuses a ragged or overlapping table
+            # before it allocates more than the cap.
+            slots += rowspan * colspan
+            if max(slots, n_rows * (col + colspan)) > MAX_GRID_SLOTS:
+                raise TableHtmlUnparseable(f"table grid exceeds {MAX_GRID_SLOTS} slots")
             cells[(r, col)] = LogicalCell(text_, rowspan, colspan, header)
             for dr in range(rowspan):
                 for dc in range(colspan):

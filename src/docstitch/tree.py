@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .apply import ResolvedDocument
-from .errors import BackendUnavailable, MalformedResponse
+from .errors import BAD_FIELD, BackendUnavailable, MalformedResponse, bad_field
 from .model import (
     CanonicalElement,
     CoordUnit,
     ElementType,
     FURNITURE_TYPES,
     VISUAL_TYPES,
+    check_strings,
 )
 from .predictors.remote import post_json
 from .textrules import TextRules
@@ -47,11 +48,6 @@ class DocNode:
 
     def body_texts(self) -> list[str]:
         return [e.content for e in self.body if e.content]
-
-    def embedding_text(self) -> str:
-        """Title path plus summary: the canonical retrieval text of a node."""
-        path = " > ".join(self.title_path)
-        return f"{path}\n{self.summary or ''}".strip()
 
     def walk(self) -> Iterator[DocNode]:
         yield self
@@ -277,7 +273,12 @@ class RemoteSummarizer(Summarizer):
             raise BackendUnavailable(f"summarizer {exc.message}") from exc
         if not isinstance(data, dict) or "summary" not in data:
             raise BackendUnavailable("summarizer response missing 'summary'")
-        return str(data["summary"])[: self.cap_chars]
+        summary = str(data["summary"])
+        try:
+            check_strings(summary)
+        except BAD_FIELD as exc:
+            raise bad_field(BackendUnavailable, "summarizer response", exc, "summary") from exc
+        return summary[: self.cap_chars]
 
 
 def summarize_nodes(

@@ -236,4 +236,5 @@ def test_table_union_conflict():
     ]
     result = merge_table_union(preds)
     assert result.judgements == [(1, 2, [0, 1]), (9, 10, [0, 0])]
-    assert len(result.conflicts) == 1
+    assert result.conflicts == [{"pair": [1, 2], "kept": [0, 1], "discarded": [1, 1], "chunk": 1}]
+    assert list(result.conflicts[0]) == ["pair", "kept", "discarded", "chunk"]

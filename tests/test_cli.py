@@ -253,7 +253,7 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
         )
     ] + [
         ({"doc_id": "d", "page_count": count, "elements": [typed]}, "document ")
-        for count in (float("inf"), 0, -3)
+        for count in (float("inf"), 0, -3, 2**70)  # 2**70: past the page bound
     ] + [
         # Raw MinerU blocks: a bad page, coordinate unit or page count.
         ([{**block, "page_idx": "one"}], "block #0 has a bad page field"),
@@ -263,6 +263,7 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
         ({"blocks": [block], "page_count": float("inf")}, "document has a bad page_count"),
         ({"blocks": [block], "page_count": 0}, "document has a bad page_count"),
         ([{**block, "page_idx": -2}], "document has a bad page_count"),
+        ([{**block, "page_idx": 2**70}], "document has a bad page_count"),
     ]
     coded = [(raw, where, "ingest.MalformedInput") for raw, where in cases] + [
         ([{**block, "bbox": 5}], "block #0 has invalid bbox", "ingest.BBoxInvalid"),
@@ -275,6 +276,24 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == error
         assert err["error"]["message"].startswith(where)
+
+
+def test_process_surrogate_summary_falls_back(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    with MockBackend({"summarize": {"summary": "bad \ud800"}}) as backend:
+        cfg.write_text(json.dumps({"tree": {"summarizer": "remote", "summarizer_url": backend.url}}))
+        code = run_cli(
+            "process", str(CORPUS_DIR / "memo_single.json"), "--config", str(cfg),
+            "--out-dir", str(out),
+        )
+    assert code == 0
+    suffixes = ("tree.json", "md", "merge_log.json", "chunks.json", "predictions.json", "report.json")
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"memo_single.{s}" for s in suffixes)
+    report = json.loads((out / "memo_single.report.json").read_text())
+    flags = [w for w in report["warnings"] if w.startswith("SummarizerFallback:")]
+    assert flags
+    assert all("summarizer response has a bad summary field" in f for f in flags)
 
 
 @pytest.mark.parametrize("kind", ["canonical", "mineru"])
@@ -327,6 +346,59 @@ def test_process_remote_unreachable_degrades_to_rules(tmp_path):
 def degraded_warnings(out_dir: Path) -> list[str]:
     report = json.loads((out_dir / "memo_single.report.json").read_text())
     return [w for w in report["warnings"] if w.endswith(":degraded:remote->rules")]
+
+
+def _conflicts(key: str, rows: list[tuple]) -> list[dict]:
+    return [{key: k, "kept": kept, "discarded": lost, "chunk": c} for k, kept, lost, c in rows]
+
+
+def test_process_reports_every_chunk_conflict(tmp_path):
+    # Chunks two pages apart overlap widely, and these scripts disagree with
+    # themselves across chunks: a visual links to whichever title leads its
+    # chunk, and title levels alternate on a scale set by the chunk's size.
+    def first_title(body):
+        titles = [b["idx"] for b in body["blocks"] if b["type"] == "title"]
+        return [
+            {"src": b["idx"], "tgt": titles[0]}
+            for b in body["blocks"] if b["type"] in ("image", "table") and titles
+        ]
+
+    def alternating(body):
+        n = len(body["blocks"])
+        return [{"idx": b["idx"], "level": 1 + (i % 2) * n} for i, b in enumerate(body["blocks"])]
+
+    cfg = tmp_path / "cfg.json"
+    with answering_backend(association=first_title, title_hierarchy=alternating) as backend:
+        cfg.write_text(json.dumps({
+            "chunking": {"stride": 2, "threshold": 1},
+            "predictor": {"mode": "remote", "backend_url": backend.url, "parallelism": 1},
+        }))
+        code = run_cli(
+            "process", str(CORPUS_DIR / "field_manual.json"),
+            "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+        )
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "field_manual.report.json").read_text())
+    assert report["union_conflicts"] == _conflicts("src", [
+        (17, 1, 6, 1), (33, 6, 23, 2), (35, 6, 23, 2), (39, 6, 23, 2),
+        (33, 6, 28, 3), (35, 6, 28, 3), (39, 6, 28, 3),
+    ])
+    # Levels are recorded as calibrated, before the final clamp to >= 1.
+    assert report["sync"] == {
+        "deviations": [0, -1, -3, -2, 10],
+        "empty_overlaps": [],
+        "conflicts": _conflicts("idx", [
+            (1, 1, 0, 1), (2, 10, 11, 1), (4, 1, 0, 1), (6, 10, 11, 1), (8, 1, 0, 1),
+            (11, 10, 11, 1), (12, 1, 0, 1), (14, 10, 11, 1), (16, 1, 0, 1),
+            (6, 10, -2, 2), (8, 1, 13, 2), (11, 10, -2, 2), (12, 1, 13, 2), (14, 10, -2, 2),
+            (16, 1, 13, 2), (19, 11, -2, 2), (21, 0, 13, 2),
+            (23, -2, -1, 3), (26, 13, 11, 3), (28, -2, -1, 3), (30, 13, 11, 3),
+            (31, -2, -1, 3), (36, 13, 11, 3), (38, -2, -1, 3),
+            (43, -1, 16, 4), (46, -1, 16, 4),
+        ]),
+    }
+    assert {tuple(c) for c in report["union_conflicts"]} == {("src", "kept", "discarded", "chunk")}
+    assert {tuple(c) for c in report["sync"]["conflicts"]} == {("idx", "kept", "discarded", "chunk")}
 
 
 def test_process_remote_needs_nothing_outside_the_standard_library(tmp_path):
@@ -739,8 +811,6 @@ HOSTILE = [
     float("inf"), float("-inf"), float("nan"), 2**70, -1, 0, "x", "", [], {}, None, True, 2.5,
     "\ud800", [1, 2],
 ]
-# A page or page count above 10**4 makes the pipeline allocate per page.
-PAGE_KEYS = {"page", "page_idx", "page_count"}
 
 
 def _reader_cases() -> dict[str, tuple[str, object, list[str]]]:
@@ -804,8 +874,7 @@ def test_every_reader_survives_one_hostile_field(data):
     reader = data.draw(st.sampled_from(sorted(READERS)), label="reader")
     name, body, argv = READERS[reader]
     path = data.draw(st.sampled_from(_paths(body)), label="path")
-    values = [v for v in HOSTILE if not (path[-1] in PAGE_KEYS and v == 2**70)]
-    value = data.draw(st.sampled_from(values), label="value")
+    value = data.draw(st.sampled_from(HOSTILE), label="value")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         out.mkdir()

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docstitch.model import CanonicalDocument, PageIndex, validate_document
+from docstitch.model import CanonicalDocument, PageIndex, page_count_of, validate_document
 
 from .helpers import doc, el
 
@@ -87,3 +88,10 @@ def test_page_index_matches_brute_force_scan(page_count, pages, queries):
     index = PageIndex(d)
     for s, t in queries:
         assert index.on_pages(s, t) == [e for e in d.elements if s <= e.page <= t]
+
+
+def test_page_count_is_bounded():
+    assert page_count_of(100_000) == 100_000
+    for count in (0, 100_001, 2**70):
+        with pytest.raises(ValueError):
+            page_count_of(count)

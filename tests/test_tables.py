@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from docstitch.errors import ColumnMismatch, TableHtmlUnparseable
-from docstitch.tables import merge_grids, parse_table
+from docstitch.tables import _TableHtmlParser, merge_grids, parse_table
 from docstitch.textrules import join_fragments
 
 
@@ -11,6 +13,36 @@ def test_simple_grid_dimensions():
     grid = parse_table("<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>")
     assert (grid.n_rows, grid.n_cols) == (2, 2)
     assert grid.row_text(0) == ["a", "b"]
+
+
+def test_colspan_is_clamped_to_1000():
+    html = '<table>' + '<tr><td colspan="2000000000">a</td></tr>' * 2 + '</table>'
+    parser = _TableHtmlParser()
+    parser.feed(html)
+    assert [cell[2] for row in parser.raw_rows for cell in row] == [1000, 1000]
+    start = time.perf_counter()
+    grid = parse_table(html)
+    assert time.perf_counter() - start < 1.0
+    assert (grid.n_rows, grid.n_cols) == (2, 1000)
+
+
+def test_grid_past_the_slot_cap_is_refused():
+    def rows(n: int) -> str:
+        return '<table>' + '<tr><td colspan="1000">a</td></tr>' * n + '</table>'
+
+    assert parse_table(rows(100)).n_cols == 1000  # 100,000 slots: the cap
+    with pytest.raises(TableHtmlUnparseable, match="exceeds 100000 slots"):
+        parse_table(rows(101))
+    # Ragged: 200 one-slot rows under one 1000-column row.
+    with pytest.raises(TableHtmlUnparseable, match="slots"):
+        parse_table('<table><tr><td colspan="1000">a</td></tr>' + '<tr><td>b</td></tr>' * 200 + '</table>')
+    # Overlapping: each row's wide cell runs into the tall cell beside it.
+    tall = '<tr><td>a</td><td rowspan="100" colspan="999">b</td></tr>'
+    overlapping = '<table>' + tall + '<tr><td colspan="1000" rowspan="100">c</td></tr>' * 99 + '</table>'
+    start = time.perf_counter()
+    with pytest.raises(TableHtmlUnparseable, match="slots"):
+        parse_table(overlapping)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_colspan_expansion():
