@@ -82,6 +82,7 @@ class PipelineConfig:
             raise ConfigError("remote predictor mode requires a backend URL")
         if self.summarizer_mode == "remote" and not self.summarizer_url:
             raise ConfigError("remote summarizer mode requires a summarizer URL")
+        ChunkPlanConfig(self.stride, self.threshold)  # raises chunking.BadConfig
         if self.node_chunk_chars <= 0:
             raise ConfigError("node_chunk_chars must be positive")
         if self.jobs < 1 or self.parallelism < 1:

@@ -4,9 +4,10 @@ One POST per request, body = the subtask's input blocks plus a task tag,
 response = the subtask's output schema.  Field names are part of the wire
 contract (see README).  ``reason`` fields are logged, never parsed.
 
-Responses are validated before acceptance: malformed shapes are retried
-once and then raised as MalformedResponse; pairs outside the candidate set
-and type-rule-violating links are dropped and flagged without a retry.
+This module is the only reader of predictor replies.  They are validated
+before acceptance: malformed shapes are retried once and then raised as
+MalformedResponse; pairs outside the candidate set and type-rule-violating
+links are dropped and flagged without a retry.
 Callers wrap this class in FallbackPredictor so a flaky backend degrades
 to the rule baseline instead of failing the run.
 """
@@ -29,10 +30,7 @@ from . import (
     HierarchyPrediction,
     PairPrediction,
     Predictor,
-    check_hierarchy_cover,
-    check_judgement,
-    filter_association_pairs,
-    filter_candidate_pairs,
+    association_link_valid,
 )
 
 logger = logging.getLogger(__name__)
@@ -40,6 +38,9 @@ logger = logging.getLogger(__name__)
 TOKEN_ENV_VAR = "DOCSTITCH_BACKEND_TOKEN"
 # A malformed response is retried this many times before MalformedResponse.
 RETRIES = 1
+# RFC 8259 section 6: integers in this range are exact in every JSON
+# implementation.  A reply's ids and levels must lie within it.
+MAX_JSON_INT = 2**53 - 1
 
 
 def post_json(url: str, body: dict, timeout: float, service: str = "backend") -> object:
@@ -73,6 +74,34 @@ def post_json(url: str, body: dict, timeout: float, service: str = "backend") ->
         return json.loads(payload)
     except ValueError as exc:
         raise MalformedResponse(f"response is not JSON: {exc}") from exc
+
+
+def _records(data: object, keys: tuple[str, str]) -> list[tuple[int, int]]:
+    """The ``keys`` pair of each object in a reply that must be a JSON array
+    of objects holding those two integer fields; else MalformedResponse.
+    An integer is a JSON integer within MAX_JSON_INT, so not a bool."""
+    if not isinstance(data, list):
+        raise MalformedResponse("response must be a JSON array")
+    records = []
+    for entry in data:
+        if not isinstance(entry, dict) or not all(
+            type(entry.get(k)) is int and abs(entry[k]) <= MAX_JSON_INT for k in keys
+        ):
+            raise MalformedResponse(f"bad entry, want integer {keys[0]} and {keys[1]}: {entry!r}")
+        record = (entry[keys[0]], entry[keys[1]])
+        if "reason" in entry:
+            logger.debug("backend reason for %s: %s", record, entry["reason"])
+        records.append(record)
+    return records
+
+
+def _allowed(
+    pairs: list[tuple[int, int]], allow: Callable[[int, int], bool], flag: str
+) -> PairPrediction:
+    """Keep the pairs ``allow`` accepts; flag each other one as ``flag:S->T``."""
+    kept = [(s, t) for s, t in pairs if allow(s, t)]
+    dropped = [f"{flag}:{s}->{t}" for s, t in pairs if not allow(s, t)]
+    return PairPrediction(pairs=kept, flags=dropped)
 
 
 class RemotePredictor(Predictor):
@@ -116,37 +145,16 @@ class RemotePredictor(Predictor):
         }
 
         def parse(data: object) -> HierarchyPrediction:
-            if not isinstance(data, list):
-                raise MalformedResponse("hierarchy response must be a JSON array")
-            levels: dict[int, int] = {}
-            for entry in data:
-                if not isinstance(entry, dict) or "idx" not in entry or "level" not in entry:
-                    raise MalformedResponse(f"bad hierarchy entry: {entry!r}")
-                idx, level = entry["idx"], entry["level"]
-                if not isinstance(idx, int) or not isinstance(level, int):
-                    raise MalformedResponse(f"non-integer idx/level: {entry!r}")
-                if idx in levels:
-                    raise MalformedResponse(f"duplicate idx {idx} in hierarchy response")
-                levels[idx] = level
-            check_hierarchy_cover(req, levels)
+            records = _records(data, ("idx", "level"))
+            levels, wanted = dict(records), [e.idx for e in req]
+            if len(levels) != len(records) or set(levels) != set(wanted):
+                got = [i for i, _ in records]
+                raise MalformedResponse(
+                    f"hierarchy response must hold each requested idx once: want {wanted}, got {got}"
+                )
             return HierarchyPrediction(levels=levels)
 
         return self._call(body, parse)  # type: ignore[return-value]
-
-    def _parse_pairs(self, data: object) -> list[tuple[int, int]]:
-        if not isinstance(data, list):
-            raise MalformedResponse("pair response must be a JSON array")
-        pairs = []
-        for entry in data:
-            if not isinstance(entry, dict) or "src" not in entry or "tgt" not in entry:
-                raise MalformedResponse(f"bad pair entry: {entry!r}")
-            src, tgt = entry["src"], entry["tgt"]
-            if not isinstance(src, int) or not isinstance(tgt, int):
-                raise MalformedResponse(f"non-integer src/tgt: {entry!r}")
-            if "reason" in entry:
-                logger.debug("backend reason for (%s, %s): %s", src, tgt, entry["reason"])
-            pairs.append((src, tgt))
-        return pairs
 
     def predict_text_truncation(self, req: list[TextPairCandidate]) -> PairPrediction:
         # One block per distinct element; long middles are already elided by
@@ -164,11 +172,11 @@ class RemotePredictor(Predictor):
             blocks.append(self._block(e, "text", content))
         body = {"task": "text_truncation", "blocks": blocks}
 
+        candidates = {(c.src.idx, c.tgt.idx) for c in req}
+
         def parse(data: object) -> PairPrediction:
-            pairs = self._parse_pairs(data)
-            kept, dropped = filter_candidate_pairs(pairs, req)
-            flags = [f"dropped_non_candidate:{s}->{t}" for s, t in dropped]
-            return PairPrediction(pairs=kept, flags=flags)
+            pairs = _records(data, ("src", "tgt"))
+            return _allowed(pairs, lambda s, t: (s, t) in candidates, "dropped_non_candidate")
 
         return self._call(body, parse)  # type: ignore[return-value]
 
@@ -178,11 +186,13 @@ class RemotePredictor(Predictor):
             "blocks": [self._block(it, it.etype.value, it.content) for it in req],
         }
 
+        etype = {e.idx: e.etype for e in req}
+
+        def allow(src: int, tgt: int) -> bool:
+            return src in etype and tgt in etype and association_link_valid(etype[src], etype[tgt])
+
         def parse(data: object) -> PairPrediction:
-            pairs = self._parse_pairs(data)
-            kept, dropped = filter_association_pairs(pairs, req)
-            flags = [f"dropped_type_rule:{s}->{t}" for s, t in dropped]
-            return PairPrediction(pairs=kept, flags=flags)
+            return _allowed(_records(data, ("src", "tgt")), allow, "dropped_type_rule")
 
         return self._call(body, parse)  # type: ignore[return-value]
 
@@ -207,16 +217,16 @@ class RemotePredictor(Predictor):
             if not data:
                 return CellMergeJudgement(columns=[])
             entry = data[0]
-            if not isinstance(entry, dict) or "judgement" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("judgement"), list):
                 raise MalformedResponse(f"bad table entry: {entry!r}")
-            judgement = entry["judgement"]
-            if not isinstance(judgement, list):
-                raise MalformedResponse("judgement must be a list")
-            try:
-                columns = check_judgement(judgement, req.upper_rows.n_cols)
-            except MalformedResponse as exc:
-                # Length mismatch degrades to "not a continuation" with a flag.
-                return CellMergeJudgement(columns=[], flags=[f"judgement_invalid:{exc.message}"])
-            return CellMergeJudgement(columns=columns)
+            columns, n_cols = entry["judgement"], req.upper_rows.n_cols
+            # A wrong vector degrades to "not a continuation" with a flag.
+            if any(v not in (0, 1) for v in columns):
+                problem = f"judgement entries must be 0/1, got {columns!r}"
+            elif columns and len(columns) != n_cols:
+                problem = f"judgement length {len(columns)} != column count {n_cols}"
+            else:
+                return CellMergeJudgement(columns=[int(v) for v in columns])
+            return CellMergeJudgement(columns=[], flags=[f"judgement_invalid:{problem}"])
 
         return self._call(body, parse)  # type: ignore[return-value]

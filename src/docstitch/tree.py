@@ -273,8 +273,10 @@ class RemoteSummarizer(Summarizer):
             raise BackendUnavailable(f"summarizer {exc.message}") from exc
         if not isinstance(data, dict) or "summary" not in data:
             raise BackendUnavailable("summarizer response missing 'summary'")
-        summary = str(data["summary"])
+        summary = data["summary"]
         try:
+            if summary is None:
+                raise TypeError("expected a string, got None")
             check_strings(summary)
         except BAD_FIELD as exc:
             raise bad_field(BackendUnavailable, "summarizer response", exc, "summary") from exc

@@ -13,15 +13,17 @@ import tempfile
 import threading
 from pathlib import Path
 from typing import Iterable
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import docstitch.cli
 from docstitch import errors
 from docstitch.cli import _process_one, main
 from docstitch.pipeline import PipelineConfig
+from docstitch.predictors.remote import RemotePredictor
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
 from .mock_backend import MockBackend, Seq
@@ -278,10 +280,13 @@ def test_process_malformed_canonical_document_exits_3(tmp_path, capsys):
         assert err["error"]["message"].startswith(where)
 
 
-def test_process_surrogate_summary_falls_back(tmp_path):
+@pytest.mark.parametrize(
+    "summary", ["bad \ud800", None, 5, ["a"]], ids=["surrogate", "null", "number", "list"]
+)
+def test_process_surrogate_summary_falls_back(tmp_path, summary):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
-    with MockBackend({"summarize": {"summary": "bad \ud800"}}) as backend:
+    with MockBackend({"summarize": {"summary": summary}}) as backend:
         cfg.write_text(json.dumps({"tree": {"summarizer": "remote", "summarizer_url": backend.url}}))
         code = run_cli(
             "process", str(CORPUS_DIR / "memo_single.json"), "--config", str(cfg),
@@ -771,6 +776,13 @@ def test_bad_chunking_flags_are_config_errors(tmp_path, capsys):
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "chunking.BadConfig"
+    # The flags are checked with the rest of the config, before any input
+    # is read or the output directory is made.
+    out = tmp_path / "out"
+    code = run_cli("process", str(tmp_path / "nope.json"), "--stride", "0", "--out-dir", str(out))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "chunking.BadConfig"
+    assert not out.exists()
 
 
 def test_env_var_supplies_backend_url(tmp_path, monkeypatch, capsys):
@@ -889,3 +901,47 @@ def test_every_reader_survives_one_hostile_field(data):
             for stream in streams:
                 stream.flush()
     assert code in (0, 2, 3)
+
+
+def _valid_reply(task: str, body: dict) -> list:
+    """A well-formed reply to ``body``: every title at level 1, one pair
+    from the first block to the last, or a two-column judgement."""
+    blocks = [b["idx"] for b in body["blocks"]]
+    if task == "title_hierarchy":
+        return [{"idx": i, "level": 1} for i in blocks]
+    if task == "table_truncation":
+        return [{"judgement": [1, 0]}]
+    return [{"src": blocks[0], "tgt": blocks[-1], "reason": "why"}]
+
+
+# (task, path) for every field of a reply's first entry, which every reply
+# to every request holds.
+REPLY_FIELDS = [
+    (task, path)
+    for task in ("title_hierarchy", "text_truncation", "association", "table_truncation")
+    for path in _paths(_valid_reply(task, {"blocks": [{"idx": 0}]}))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(REPLY_FIELDS), value=st.sampled_from(HOSTILE + [10**400]))
+# A bool id for title 1, the first title of field_manual, and a level that
+# no float holds.
+@example(field=("title_hierarchy", (0, "idx")), value=True)
+@example(field=("title_hierarchy", (0, "level")), value=10**400)
+def test_every_backend_reply_survives_one_hostile_field(field, value):
+    task, path = field
+
+    def post(self, body):
+        reply = _valid_reply(body["task"], body)
+        return _replaced(reply, path, value) if body["task"] == task else reply
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(RemotePredictor, "_post", post):
+        code = main([
+            "process", str(CORPUS_DIR / "field_manual.json"), "--predictor", "remote",
+            "--backend-url", "http://127.0.0.1:9/", "--stride", "2", "--threshold", "1",
+            "--out-dir", tmp,
+        ])
+        assert code == 0
+        pred = str(Path(tmp) / "field_manual.predictions.json")
+        assert main(["eval", "--pred", pred, "--gold", str(GOLD_DIR / "field_manual.gold.json")]) == 0

@@ -72,6 +72,22 @@ def test_duplicate_idx_is_malformed(small_doc):
             RemotePredictor(be.url).predict_title_hierarchy(titles)
 
 
+@pytest.mark.parametrize(
+    "level, ok",
+    [(2**53 - 1, True), (-(2**53 - 1), True), (2**53, False), (10**400, False), (True, False)],
+    ids=["2**53-1", "-(2**53-1)", "2**53", "10**400", "true"],
+)
+def test_hierarchy_levels_are_json_integers_within_2_53(small_doc, level, ok):
+    titles = filter_titles(small_doc)
+    reply = [{"idx": 0, "level": level}, {"idx": 3, "level": 1}]
+    with MockBackend({"title_hierarchy": reply}) as be:
+        if ok:
+            assert RemotePredictor(be.url).predict_title_hierarchy(titles).levels[0] == level
+        else:
+            with pytest.raises(MalformedResponse):
+                RemotePredictor(be.url).predict_title_hierarchy(titles)
+
+
 def test_pairs_outside_candidate_set_dropped_and_flagged(small_doc):
     cands = filter_text_truncation_candidates(small_doc)
     assert [(c.src.idx, c.tgt.idx) for c in cands] == [(1, 2)]
@@ -148,14 +164,16 @@ def test_auth_token_header_from_env(small_doc, monkeypatch):
         assert be.requests[0]["headers"].get("Authorization") == "Bearer sekrit"
 
 
-def test_fallback_predictor_degrades_per_call(small_doc):
+def test_fallback_predictor_degrades_per_call(small_doc, caplog):
     titles = filter_titles(small_doc)
     remote = RemotePredictor("http://127.0.0.1:9/", timeout=0.2)
     predictor = FallbackPredictor(remote, RulePredictor())
     pred = predictor.predict_title_hierarchy(titles)
     assert pred.levels  # rule baseline answered
     assert any("degraded" in f for f in pred.flags)
-    assert predictor.warnings
+    [record] = [r for r in caplog.records if r.name == "docstitch.predictors"]
+    assert record.levelname == "WARNING"
+    assert record.getMessage().startswith("predict_title_hierarchy: remote failed (backend unreachable")
 
 
 def test_fallback_used_after_persistent_malformed(small_doc):
