@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
 from .errors import BadConfig
-from .model import ElementType
+from .model import ElementType, json_int
 
 
 def round_half_away(x: float) -> int:
@@ -260,11 +260,15 @@ class DocumentPredictions:
         """The ``to_dict`` layout, typed; a missing field is empty.  A bad
         field raises one of ``errors.BAD_FIELD`` for the caller to name."""
         return cls(
-            hierarchy={int(k): int(v) for k, v in d.get("hierarchy", {}).items()},
-            text_pairs=[(int(a), int(b)) for a, b in d.get("text_pairs", [])],
-            assoc_pairs=[(int(a), int(b)) for a, b in d.get("assoc_pairs", [])],
+            hierarchy={int(k): json_int(v) for k, v in d.get("hierarchy", {}).items()},
+            text_pairs=[(json_int(a), json_int(b)) for a, b in d.get("text_pairs", [])],
+            assoc_pairs=[(json_int(a), json_int(b)) for a, b in d.get("assoc_pairs", [])],
             table_judgements=[
-                (int(j["upper_idx"]), int(j["lower_idx"]), [int(v) for v in j["judgement"]])
+                (
+                    json_int(j["upper_idx"]),
+                    json_int(j["lower_idx"]),
+                    [json_int(v) for v in j["judgement"]],
+                )
                 for j in d.get("table_judgements", [])
             ],
         )

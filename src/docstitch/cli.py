@@ -15,9 +15,9 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import ConfigError, DocstitchError
+from .errors import ConfigError, DocstitchError, DuplicateDocId
 from .evaluation import GoldAnnotations, evaluate
 from .exporters import export_json, export_markdown, tree_from_dict
 from .ingest import normalize_elements
@@ -54,10 +54,12 @@ def _dump(obj: dict, path: Optional[Path] = None) -> None:
 
 
 def _load_document(path: Path, profile: str) -> CanonicalDocument:
-    """Accept a canonical-document JSON or a raw OCR block list."""
+    """Accept a canonical-document JSON or a raw OCR block list or wrapper
+    object: an object with a doc_id is canonical when an element has an idx."""
     raw = read_json(path)
-    if isinstance(raw, dict) and "elements" in raw and "doc_id" in raw:
-        return CanonicalDocument.from_dict(raw)
+    elements = raw.get("elements") if isinstance(raw, dict) and "doc_id" in raw else None
+    if isinstance(elements, list) and any(isinstance(e, dict) and "idx" in e for e in elements):
+        return CanonicalDocument.from_dict(raw)  # type: ignore[arg-type]
     result = normalize_elements(raw, profile, doc_id=path.stem)  # type: ignore[arg-type]
     return result.document
 
@@ -94,6 +96,13 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _write_error(exc: DocstitchError) -> int:
+    """Write ``exc`` to stderr as one coded JSON line; return its exit
+    status, 2 for a config error and 3 for any other."""
+    sys.stderr.write(json.dumps({"error": exc.to_dict()}) + "\n")
+    return 2 if isinstance(exc, ConfigError) else 3
+
+
 def cmd_normalize(args: argparse.Namespace) -> int:
     raw = read_json(Path(args.input))
     result = normalize_elements(raw, args.profile, doc_id=Path(args.input).stem)  # type: ignore[arg-type]
@@ -110,8 +119,16 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _process_one(path: Path, cfg: PipelineConfig, out_dir: Path) -> dict:
+def _process_one(
+    path: Path,
+    cfg: PipelineConfig,
+    out_dir: Path,
+    claim: Callable[[str], None] = lambda doc_id: None,
+) -> dict:
+    """Run one input and write its artifacts; ``claim(doc_id)`` is called
+    between the load and the run, and may refuse the doc_id by raising."""
     doc = _load_document(path, cfg.profile)
+    claim(doc.doc_id)
     result = run_pipeline(doc, cfg)
     stem = doc.doc_id
 
@@ -140,6 +157,35 @@ def cmd_process(args: argparse.Namespace) -> int:
     except OSError as exc:  # an existing file, or no permission
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     inputs = [Path(p) for p in args.input]
+    # Input i claims its doc_id once input i - 1 has claimed or failed
+    # (turns[i] is set), so the first input in argument order wins a doc_id
+    # whatever order the jobs run in.
+    turns = [threading.Event() for _ in range(len(inputs) + 1)]
+    turns[0].set()
+    owners: dict[str, Path] = {}
+
+    def job(i: int) -> tuple[dict, int]:
+        """One input's summary and exit status; its failure costs only itself."""
+        path = inputs[i]
+
+        def claim(doc_id: str) -> None:
+            turns[i].wait()
+            try:
+                if doc_id in owners:
+                    raise DuplicateDocId(
+                        f"{path} has doc_id {doc_id!r}, which {owners[doc_id]} already holds"
+                    )
+                owners[doc_id] = path
+            finally:
+                turns[i + 1].set()
+
+        try:
+            return _process_one(path, cfg, out_dir, claim), 0
+        except DocstitchError as exc:
+            return {"input": path.name, "error": exc.to_dict()}, _write_error(exc)
+        finally:  # a job that failed before its claim passes the turn on
+            turns[i].wait()
+            turns[i + 1].set()
 
     # The pipeline builds no reference cycles, so reference counting frees
     # all it allocates, and a cyclic collection would only rescan the live
@@ -149,15 +195,15 @@ def cmd_process(args: argparse.Namespace) -> int:
     try:
         if cfg.jobs > 1 and len(inputs) > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                summaries = list(pool.map(lambda p: _process_one(p, cfg, out_dir), inputs))
+                results = list(pool.map(job, range(len(inputs))))
         else:
-            summaries = [_process_one(p, cfg, out_dir) for p in inputs]
+            results = [job(i) for i in range(len(inputs))]
     finally:
         if collecting:
             gc.enable()
 
-    _dump({"processed": summaries})
-    return 0
+    _dump({"processed": [summary for summary, _ in results]})
+    return max(status for _, status in results)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -247,12 +293,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(json.dumps({"error": exc.to_dict()}) + "\n")
-        return 2
     except DocstitchError as exc:
-        sys.stderr.write(json.dumps({"error": exc.to_dict()}) + "\n")
-        return 3
+        return _write_error(exc)
 
 
 if __name__ == "__main__":

@@ -50,6 +50,10 @@ class SchemaMismatch(DocstitchError):
     code = "eval.SchemaMismatch"
 
 
+class DuplicateDocId(DocstitchError):
+    code = "cli.DuplicateDocId"
+
+
 class ConfigError(DocstitchError):
     code = "cli.ConfigError"
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .chunking import DocumentPredictions
 from .errors import BAD_FIELD, SchemaMismatch, bad_field
-from .model import check_strings
+from .model import PageBox, json_int, json_str, page_boxes
 
 
 @dataclass
@@ -231,8 +231,6 @@ def merge_accuracy(
 
 # -- bbox metrics --------------------------------------------------------
 
-PageBox = tuple[int, Sequence[float]]
-
 
 def _rect_union_area(boxes: list[Sequence[float]]) -> float:
     """Exact union area of axis-aligned rectangles (coordinate compression)."""
@@ -305,19 +303,6 @@ def bbox_scores(retrieved: Sequence[PageBox], gold: Sequence[PageBox]) -> BBoxSc
 # -- gold annotations and the aggregate report ---------------------------
 
 
-def _read_page_boxes(raw: object) -> list[PageBox]:
-    """``[[page, [x0, y0, x1, y1]], ...]``, typed."""
-    if not isinstance(raw, list):
-        raise TypeError(f"expected a list of [page, box] pairs, got {raw!r}")
-    boxes: list[PageBox] = []
-    for page, box in raw:
-        coords = [float(v) for v in box]
-        if len(coords) != 4:
-            raise ValueError(f"a box holds 4 numbers, got {box!r}")
-        boxes.append((int(page), coords))
-    return boxes
-
-
 @dataclass(kw_only=True)
 class GoldAnnotations(DocumentPredictions):
     """Per-document gold structures for every subtask (fixture format v1):
@@ -330,16 +315,14 @@ class GoldAnnotations(DocumentPredictions):
     @classmethod
     def from_dict(cls, d: dict) -> GoldAnnotations:
         try:
-            if d.get("format_version", 1) != 1:
+            if json_int(d.get("format_version", 1)) != 1:
                 raise SchemaMismatch(f"unsupported annotation version {d['format_version']}")
-            gold = cls(
-                doc_id=str(d["doc_id"]),
-                titles={int(k): str(v) for k, v in d.get("titles", {}).items()},
-                evidence_gold=_read_page_boxes(d.get("evidence_gold", [])),
+            return cls(
+                doc_id=json_str(d["doc_id"]),
+                titles={int(k): json_str(v) for k, v in d.get("titles", {}).items()},
+                evidence_gold=page_boxes(d.get("evidence_gold", [])),
                 **vars(DocumentPredictions.from_dict(d)),
             )
-            check_strings(gold.doc_id)  # the report names it
-            return gold
         except BAD_FIELD as exc:
             raise bad_field(SchemaMismatch, "gold annotation file", exc) from exc
 
@@ -416,7 +399,7 @@ def evaluate(
     except BAD_FIELD as exc:
         raise bad_field(SchemaMismatch, "prediction file", exc) from exc
     try:
-        boxes = None if retrieved is None else _read_page_boxes(retrieved)
+        boxes = None if retrieved is None else page_boxes(retrieved)
     except BAD_FIELD as exc:
         raise bad_field(SchemaMismatch, "retrieved boxes file", exc) from exc
     report = EvalReport(doc_id=gold.doc_id)

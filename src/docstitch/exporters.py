@@ -15,7 +15,16 @@ from json.encoder import encode_basestring as _quote
 
 from .errors import BAD_FIELD, MalformedInput, bad_field
 from .jsonio import _INDENT, _float, _int, _value
-from .model import CanonicalElement, CoordUnit, ElementType, check_strings
+from .model import (
+    CanonicalElement,
+    CoordUnit,
+    ElementType,
+    check_strings,
+    json_int,
+    json_str,
+    page_boxes,
+    string_list,
+)
 from .tree import DocNode, DocTree, NodeKind
 
 FORMAT_VERSION = 1
@@ -140,28 +149,26 @@ def export_json(tree: DocTree) -> str:
 
 def _node_from_dict(d: dict) -> DocNode:
     node = DocNode(
-        node_id=d["node_id"],
-        kind=d["kind"],
-        level=int(d["level"]),
-        anchor=int(d["anchor"]),
+        node_id=json_str(d["node_id"]),
+        kind=json_str(d["kind"]),
+        level=json_int(d["level"]),
+        anchor=json_int(d["anchor"]),
         title_text=d.get("title"),
-        title_path=list(d.get("title_path", [])),
+        title_path=list(string_list(d.get("title_path", []))),
         summary=d.get("summary"),
         body=[CanonicalElement.from_dict(e) for e in d.get("body", [])],
-        bboxes=[(int(p), [float(v) for v in box]) for p, box in d.get("bboxes", [])],
+        bboxes=page_boxes(d.get("bboxes", [])),  # type: ignore[arg-type]
         children=[_node_from_dict(c) for c in d.get("children", [])],
     )
-    check_strings(node.node_id, node.kind, node.title_text, node.summary, *node.title_path)
+    check_strings(node.title_text, node.summary, *node.title_path)
     return node
 
 
 def tree_from_dict(doc: dict) -> DocTree:
     """Raises MalformedInput naming a missing or unreadable field."""
     try:
-        doc_id = doc["doc_id"]
-        check_strings(doc_id)
         return DocTree(
-            doc_id=doc_id,
+            doc_id=json_str(doc["doc_id"]),
             coord_unit=CoordUnit(doc["coord_unit"]),
             root=_node_from_dict(doc["root"]),
         )

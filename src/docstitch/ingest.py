@@ -43,7 +43,11 @@ from .model import (
     CoordUnit,
     ElementType,
     bbox_is_valid,
+    bbox_of,
     check_strings,
+    doc_id_of,
+    json_int,
+    json_str,
     page_count_of,
     string_list,
 )
@@ -73,13 +77,13 @@ class Profile:
             if missing:
                 raise ValueError(f"no mapping for the canonical fields {missing}")
             profile = cls(
-                name=str(d["name"]),
+                name=json_str(d["name"]),
                 fields=fields,
                 label_map={k: ElementType(v) for k, v in d.get("label_map", {}).items()},
                 drop_labels=frozenset(string_list(d.get("drop_labels", []))),
                 description=d.get("description", ""),
             )
-            check_strings(profile.name, profile.description)
+            check_strings(profile.description)
             return profile
         except BAD_FIELD as exc:
             raise bad_field(MalformedInput, "profile", exc) from exc
@@ -187,8 +191,7 @@ def normalize_elements(
         raw_label = profile.pick(block, "type")
         if raw_label is None:
             raise MalformedInput(f"block #{pos} is missing its type field")
-        raw_label = str(raw_label)
-        _checked(f"block #{pos}", check_strings, raw_label)
+        _checked(f"block #{pos}", json_str, raw_label, key="type")
         if raw_label in profile.drop_labels:
             report.dropped.append({"position": pos, "label": raw_label})
             continue
@@ -205,17 +208,15 @@ def normalize_elements(
             raise MalformedInput(f"block #{pos} is missing its bbox field")
         if not bbox_is_valid(bbox_raw):
             raise BBoxInvalid(f"block #{pos} has invalid bbox {bbox_raw!r}")
-        bbox = tuple(float(v) for v in bbox_raw)
 
         content = profile.pick(block, "content")
-        content = "" if content is None else str(content)
+        content = "" if content is None else content
         table_html = profile.pick(block, "table_html")
         if etype is ElementType.TABLE:
-            table_html = "" if table_html is None else str(table_html)
+            table_html = "" if table_html is None else table_html
         else:
             table_html = None
         asset_ref = profile.pick(block, "asset_ref")
-        asset_ref = None if asset_ref is None else str(asset_ref)
         # Only strings that reach an artifact: a dropped block keeps its label.
         _checked(f"block #{pos}", check_strings, content, table_html, asset_ref)
 
@@ -224,8 +225,8 @@ def normalize_elements(
                 idx=idx,
                 etype=etype,
                 content=content,
-                page=_checked(f"block #{pos}", int, page, key="page"),
-                bbox=bbox,  # type: ignore[arg-type]
+                page=_checked(f"block #{pos}", json_int, page, key="page"),
+                bbox=bbox_of(bbox_raw),
                 table_html=table_html,
                 asset_ref=asset_ref,
             )
@@ -236,10 +237,8 @@ def normalize_elements(
     page_count = meta.get("page_count")
     if page_count is None:
         page_count = max((e.page for e in elements), default=0) + 1
-    doc_id = str(meta.get("doc_id", doc_id))
-    _checked("document", check_strings, doc_id, key="doc_id")
     document = CanonicalDocument(
-        doc_id=doc_id,
+        doc_id=_checked("document", doc_id_of, meta.get("doc_id", doc_id), key="doc_id"),
         page_count=_checked("document", page_count_of, page_count, key="page_count"),
         coord_unit=_checked(
             "document", CoordUnit, meta.get("coord_unit", "pixel"), key="coord_unit"

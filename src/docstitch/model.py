@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from math import isfinite
 from typing import Iterable, Optional
 
 from .errors import BAD_FIELD, MalformedInput, bad_field
@@ -47,15 +48,99 @@ FURNITURE_TYPES = frozenset({ElementType.PAGE_HEADER, ElementType.PAGE_FOOTER})
 
 
 BBox = tuple[float, float, float, float]
+PageBox = tuple[int, BBox]
+
+# The rules every reader applies to the values of its JSON input.  A value
+# is taken as it is: a bool, a float or a numeric string is not an integer,
+# and nothing is rounded, truncated or parsed into the type wanted.
+
+# RFC 8259 section 6: integers in this range are exact in every JSON
+# implementation.
+MAX_JSON_INT = 2**53 - 1
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def json_int(value: object) -> int:
+    """A JSON integer within ±MAX_JSON_INT.  Raises TypeError for another
+    type (a bool too) and ValueError outside the range."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not -MAX_JSON_INT <= value <= MAX_JSON_INT:
+        raise ValueError(f"expected an integer within ±(2**53 - 1), got {value!r}")
+    return value
+
+
+def json_number(value: object) -> float:
+    """A finite JSON number (not a bool), as a float."""
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"expected a number, got {value!r}")
+    if not isfinite(value):  # OverflowError for an int past the float range
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def json_str(value: object) -> str:
+    """A required string: ``check_strings``'s rule, but not null."""
+    if value is None:
+        raise TypeError("expected a string, got None")
+    check_strings(value)
+    return value  # type: ignore[return-value]
+
+
+# Artifacts are written to OUT_DIR/<doc_id>.<suffix> by way of a temporary
+# .<doc_id>.<suffix>.<pid>.<thread id>.tmp beside it; 200 bytes keeps both
+# names within the 255-byte file-name limit.
+MAX_DOC_ID_BYTES = 200
+
+
+def doc_id_of(value: object) -> str:
+    """A document id, which names the document's artifact files: a
+    non-empty string of at most MAX_DOC_ID_BYTES UTF-8 bytes with no '/',
+    '\\' or NUL."""
+    doc_id = json_str(value)
+    if not 0 < len(doc_id.encode("utf-8")) <= MAX_DOC_ID_BYTES or any(
+        c in doc_id for c in "/\\\0"
+    ):
+        raise ValueError(
+            f"a doc_id is a file name of 1 to {MAX_DOC_ID_BYTES} UTF-8 bytes"
+            f" without '/', '\\' or NUL, got {doc_id!r}"
+        )
+    return doc_id
+
+
+def bbox_of(value: object) -> BBox:
+    """``[x0, y0, x1, y1]`` (or an element's tuple): 4 finite numbers, as
+    floats.  Every element has a bbox, so the tests are inline: no call per
+    number."""
+    if (type(value) is list or type(value) is tuple) and len(value) == 4:  # type: ignore[arg-type]
+        x0, y0, x1, y1 = value  # type: ignore[misc]
+        numbers = _NUMBER_TYPES
+        if (
+            type(x0) in numbers and type(y0) in numbers
+            and type(x1) in numbers and type(y1) in numbers
+        ):
+            # OverflowError for an int past the float range.
+            x0, y0, x1, y1 = box = (float(x0), float(y0), float(x1), float(y1))
+            # v - v is 0.0 for a finite float, and NaN for NaN or an infinity.
+            if x0 - x0 + y0 - y0 + x1 - x1 + y1 - y1 == 0.0:
+                return box
+    raise ValueError(f"a bbox holds 4 finite numbers, got {value!r}")
 
 
 def bbox_is_valid(bbox: object) -> bool:
-    """Whether ``bbox`` unpacks into 4 floats with x0 < x1 and y0 < y1."""
+    """Whether ``bbox`` is 4 finite numbers with x0 < x1 and y0 < y1."""
     try:
-        x0, y0, x1, y1 = map(float, bbox)  # type: ignore[call-overload]
+        x0, y0, x1, y1 = bbox_of(bbox)
     except BAD_FIELD:
         return False
     return x0 < x1 and y0 < y1
+
+
+def page_boxes(value: object) -> list[PageBox]:
+    """``[[page, [x0, y0, x1, y1]], ...]``: an integer page and a bbox each."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list of [page, bbox] pairs, got {value!r}")
+    return [(json_int(page), bbox_of(box)) for page, box in value]
 
 
 # Chunk planning and page profiles allocate per page, so a page count is
@@ -65,7 +150,7 @@ MAX_PAGES = 100_000
 
 def page_count_of(value: object) -> int:
     """A document's page count: an integer from 1 to ``MAX_PAGES``."""
-    count = int(value)  # type: ignore[call-overload]
+    count = json_int(value)
     if count < 1:
         raise ValueError(f"a document covers at least one page, got page_count {count}")
     if count > MAX_PAGES:
@@ -130,17 +215,15 @@ class CanonicalElement:
         # Arguments evaluate in field order, so the first bad field is the
         # one a MalformedInput names.
         element = cls(
-            int(d["idx"]),
+            json_int(d["idx"]),
             ElementType(d["type"]),
-            d.get("content") or "",
-            int(d["page"]),
-            tuple(map(float, d["bbox"])),
+            "" if (content := d.get("content")) is None else content,
+            json_int(d["page"]),
+            bbox_of(d["bbox"]),
             d.get("table_html"),
             d.get("asset_ref"),
         )
         check_strings(element.content, element.table_html, element.asset_ref)
-        if len(element.bbox) != 4:
-            raise ValueError(f"bbox {d['bbox']!r} does not hold 4 numbers")
         return element
 
 
@@ -189,10 +272,8 @@ class CanonicalDocument:
             for pos, e in enumerate(d["elements"]):
                 elements.append(CanonicalElement.from_dict(e))
             pos = None
-            doc_id = str(d["doc_id"])
-            check_strings(doc_id)
             return cls(
-                doc_id=doc_id,
+                doc_id=doc_id_of(d["doc_id"]),
                 page_count=page_count_of(d["page_count"]),
                 coord_unit=CoordUnit(d.get("coord_unit", "pixel")),
                 source_schema=d.get("source_schema", "generic"),

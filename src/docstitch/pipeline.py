@@ -28,7 +28,7 @@ from .chunking import (
     plan_chunks,
     synchronize_hierarchy,
 )
-from .errors import BAD_FIELD, ConfigError, bad_field
+from .errors import BAD_FIELD, ConfigError, MalformedInput, bad_field
 from .filtering import (
     ASSOCIATION_TYPES,
     FilterConfig,
@@ -37,7 +37,16 @@ from .filtering import (
     filter_text_truncation_candidates,
     filter_titles,
 )
-from .model import CanonicalDocument, ElementType, PageIndex, string_list, validate_document
+from .model import (
+    CanonicalDocument,
+    ElementType,
+    PageIndex,
+    json_int,
+    json_number,
+    json_str,
+    string_list,
+    validate_document,
+)
 from .predictors import FallbackPredictor, Predictor, RulePredictor
 from .predictors.remote import RemotePredictor
 from .tables import TableGrids
@@ -127,45 +136,25 @@ class PipelineConfig:
         return cls(filters=FilterConfig(rules=rules, **given["filters"]), **given[""])
 
 
-def _int(value: Any) -> int:
-    # int() would turn 2.5 into 2 and "1" into 1; a bool is an int to Python.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _count(value: Any) -> int:
-    value = _int(value)
+    value = json_int(value)
     if value < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
     return value
 
 
-def _float(value: Any) -> float:
-    # float() would take True as 1.0 and "1e1" as 10.0.
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _timeout(value: Any) -> float:
-    # 0 would make every socket non-blocking; past TIMEOUT_MAX (and for
-    # NaN) the socket cannot take the value at all.
-    value = _float(value)
+    # 0 would make every socket non-blocking; past TIMEOUT_MAX the socket
+    # cannot take the value at all.
+    value = json_number(value)
     if not 0 < value <= threading.TIMEOUT_MAX:
         raise ValueError(f"expected a number of seconds > 0, got {value!r}")
     return value
 
 
-def _str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
 def _band(value: Any) -> tuple[float, float]:
     low, high = value
-    return (_float(low), _float(high))
+    return (json_number(low), json_number(high))
 
 
 # Config-file (section, key) -> (target field, conversion).  A target is a
@@ -173,17 +162,17 @@ def _band(value: Any) -> tuple[float, float]:
 # FilterConfig and TextRules inside it.  Section order is the order in
 # which malformed sections are reported.
 CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] = {
-    (None, "profile"): ("profile", _str),
-    (None, "jobs"): ("jobs", _int),
-    ("chunking", "stride"): ("stride", _int),
-    ("chunking", "threshold"): ("threshold", _int),
-    ("predictor", "mode"): ("predictor_mode", _str),
-    ("predictor", "backend_url"): ("backend_url", _str),
+    (None, "profile"): ("profile", json_str),
+    (None, "jobs"): ("jobs", json_int),
+    ("chunking", "stride"): ("stride", json_int),
+    ("chunking", "threshold"): ("threshold", json_int),
+    ("predictor", "mode"): ("predictor_mode", json_str),
+    ("predictor", "backend_url"): ("backend_url", json_str),
     ("predictor", "timeout_s"): ("backend_timeout", _timeout),
-    ("predictor", "parallelism"): ("parallelism", _int),
-    ("tree", "node_chunk_chars"): ("node_chunk_chars", _int),
-    ("tree", "summarizer"): ("summarizer_mode", _str),
-    ("tree", "summarizer_url"): ("summarizer_url", _str),
+    ("predictor", "parallelism"): ("parallelism", json_int),
+    ("tree", "node_chunk_chars"): ("node_chunk_chars", json_int),
+    ("tree", "summarizer"): ("summarizer_mode", json_str),
+    ("tree", "summarizer_url"): ("summarizer_url", json_str),
     ("tree", "summary_cap_chars"): ("summary_cap_chars", _count),
     ("tree", "summary_max_sentences"): ("summary_max_sentences", _count),
     ("export", "formats"): ("export_formats", string_list),
@@ -337,6 +326,11 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report = RunReport(doc_id=doc.doc_id)
     validation = validate_document(doc)
     report.validation = [asdict(v) for v in validation.violations]
+    # The idx is an element's only identity: with two elements at one idx,
+    # merges and links would reach only one of them.
+    for violation in validation.violations:
+        if violation.code == "DuplicateIdx":
+            raise MalformedInput(f"element {violation.message}")
 
     predictor = make_predictor(cfg)
     plans = plan_subtasks(doc, cfg)

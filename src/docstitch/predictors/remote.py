@@ -22,9 +22,9 @@ import urllib.error
 import urllib.request
 from typing import Callable
 
-from ..errors import BackendUnavailable, MalformedResponse
+from ..errors import BAD_FIELD, BackendUnavailable, MalformedResponse
 from ..filtering import TablePairCandidate, TextPairCandidate
-from ..model import CanonicalElement
+from ..model import CanonicalElement, json_int
 from . import (
     CellMergeJudgement,
     HierarchyPrediction,
@@ -38,9 +38,6 @@ logger = logging.getLogger(__name__)
 TOKEN_ENV_VAR = "DOCSTITCH_BACKEND_TOKEN"
 # A malformed response is retried this many times before MalformedResponse.
 RETRIES = 1
-# RFC 8259 section 6: integers in this range are exact in every JSON
-# implementation.  A reply's ids and levels must lie within it.
-MAX_JSON_INT = 2**53 - 1
 
 
 def post_json(url: str, body: dict, timeout: float, service: str = "backend") -> object:
@@ -78,17 +75,18 @@ def post_json(url: str, body: dict, timeout: float, service: str = "backend") ->
 
 def _records(data: object, keys: tuple[str, str]) -> list[tuple[int, int]]:
     """The ``keys`` pair of each object in a reply that must be a JSON array
-    of objects holding those two integer fields; else MalformedResponse.
-    An integer is a JSON integer within MAX_JSON_INT, so not a bool."""
+    of objects holding those two integer fields (``model.json_int``); else
+    MalformedResponse."""
     if not isinstance(data, list):
         raise MalformedResponse("response must be a JSON array")
     records = []
     for entry in data:
-        if not isinstance(entry, dict) or not all(
-            type(entry.get(k)) is int and abs(entry[k]) <= MAX_JSON_INT for k in keys
-        ):
-            raise MalformedResponse(f"bad entry, want integer {keys[0]} and {keys[1]}: {entry!r}")
-        record = (entry[keys[0]], entry[keys[1]])
+        try:  # TypeError for an entry that is not an object
+            record = (json_int(entry[keys[0]]), json_int(entry[keys[1]]))
+        except BAD_FIELD:
+            raise MalformedResponse(
+                f"bad entry, want integer {keys[0]} and {keys[1]}: {entry!r}"
+            ) from None
         if "reason" in entry:
             logger.debug("backend reason for %s: %s", record, entry["reason"])
         records.append(record)
@@ -221,12 +219,12 @@ class RemotePredictor(Predictor):
                 raise MalformedResponse(f"bad table entry: {entry!r}")
             columns, n_cols = entry["judgement"], req.upper_rows.n_cols
             # A wrong vector degrades to "not a continuation" with a flag.
-            if any(v not in (0, 1) for v in columns):
+            if any(type(v) is not int or v not in (0, 1) for v in columns):
                 problem = f"judgement entries must be 0/1, got {columns!r}"
             elif columns and len(columns) != n_cols:
                 problem = f"judgement length {len(columns)} != column count {n_cols}"
             else:
-                return CellMergeJudgement(columns=[int(v) for v in columns])
+                return CellMergeJudgement(columns=columns)
             return CellMergeJudgement(columns=[], flags=[f"judgement_invalid:{problem}"])
 
         return self._call(body, parse)  # type: ignore[return-value]

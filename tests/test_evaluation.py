@@ -233,7 +233,7 @@ def test_gold_annotations_round_trip():
         text_pairs=[(3, 4)],
         assoc_pairs=[(5, 1)],
         table_judgements=[(7, 8, [0, 1])],
-        evidence_gold=[(0, [1.0, 2.0, 3.0, 4.0])],
+        evidence_gold=[(0, (1.0, 2.0, 3.0, 4.0))],  # a box reads as a tuple, like a bbox
     )
     again = GoldAnnotations.from_dict(gold.to_dict())
     assert again == gold

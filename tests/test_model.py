@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docstitch.model import CanonicalDocument, PageIndex, page_count_of, validate_document
+from docstitch.model import (
+    MAX_JSON_INT,
+    CanonicalDocument,
+    PageIndex,
+    bbox_is_valid,
+    bbox_of,
+    json_int,
+    json_number,
+    json_str,
+    page_count_of,
+    validate_document,
+)
 
 from .helpers import doc, el
 
@@ -95,3 +106,49 @@ def test_page_count_is_bounded():
     for count in (0, 100_001, 2**70):
         with pytest.raises(ValueError):
             page_count_of(count)
+
+
+# -- the value rules every reader shares ------------------------------------
+
+
+def test_json_int_is_an_int_within_rfc_8259_range():
+    for v in (0, -1, MAX_JSON_INT, -MAX_JSON_INT):
+        assert json_int(v) == v
+    for v in (True, False, 1.0, 1.2, "1", None, [1]):
+        with pytest.raises(TypeError):
+            json_int(v)
+    for v in (MAX_JSON_INT + 1, -MAX_JSON_INT - 1, 10**400):
+        with pytest.raises(ValueError):
+            json_int(v)
+
+
+def test_json_number_is_a_finite_int_or_float():
+    assert json_number(3) == 3.0 and type(json_number(3)) is float
+    assert json_number(-2.5) == -2.5
+    for v in (True, "1e1", None, [1.0]):
+        with pytest.raises(TypeError):
+            json_number(v)
+    for v in (float("nan"), float("inf"), float("-inf"), 10**400):
+        with pytest.raises((ValueError, OverflowError)):
+            json_number(v)
+
+
+def test_json_str_refuses_null_and_lone_surrogates():
+    assert json_str("") == ""
+    for v in (None, 7, ["a"]):
+        with pytest.raises(TypeError):
+            json_str(v)
+    with pytest.raises(ValueError):
+        json_str("\ud800")
+
+
+def test_bbox_of_takes_4_finite_numbers_as_floats():
+    assert bbox_of([0, 1, 2.5, 3]) == (0.0, 1.0, 2.5, 3.0)
+    assert bbox_of((0.0, 1.0, 2.0, 3.0)) == (0.0, 1.0, 2.0, 3.0)  # an element's tuple
+    for v in ([0, 0, 1], [0, 0, 1, 1, 1], ["0", "0", "1", "1"], [0, 0, True, 1],
+              [0, 0, float("nan"), 1], [0, 0, float("inf"), 1], [0, 0, 10**400, 1], "0011", None):
+        with pytest.raises((ValueError, OverflowError)):
+            bbox_of(v)
+    assert not bbox_is_valid([0, 0, float("nan"), 1])
+    assert not bbox_is_valid(["0", "0", "1", "1"])
+    assert bbox_is_valid((0.0, 0.0, 1.0, 1.0))

@@ -142,6 +142,19 @@ def test_table_judgement_length_mismatch_degrades_to_empty():
         assert body["upper_row"] == "<tr><td>a</td><td>b</td></tr>"
 
 
+@pytest.mark.parametrize("judgement", [[True, 1], [1.0, 0], [0, 2]], ids=["bool", "float", "two"])
+def test_table_judgement_entries_must_be_integers_0_or_1(judgement):
+    from docstitch.filtering import TablePairCandidate
+    from docstitch.tables import parse_table
+
+    cand = TablePairCandidate(1, 2, None, None, parse_table("<tr><td>a</td><td>b</td></tr>"),
+                              parse_table("<tr><td>c</td><td>d</td></tr>"))
+    with MockBackend({"table_truncation": [{"judgement": judgement}]}) as be:
+        pred = RemotePredictor(be.url).predict_table_truncation(cand)
+    assert pred.columns == []
+    assert pred.flags == [f"judgement_invalid:judgement entries must be 0/1, got {judgement!r}"]
+
+
 def test_http_error_raises_backend_unavailable(small_doc):
     titles = filter_titles(small_doc)
     with MockBackend({"title_hierarchy": 500}) as be:
