@@ -74,12 +74,15 @@ def _fragment(e: CanonicalElement) -> dict:
 
 @dataclass
 class ResolvedDocument:
-    """Canonical document after merges, with levels and links attached."""
+    """Canonical document after merges, with levels and links attached.
+
+    ``by_idx`` holds the elements by idx in reading order: a merge replaces
+    its survivor in place and deletes what it absorbed.
+    """
 
     doc_id: str
-    page_count: int
     coord_unit: CoordUnit
-    elements: list[CanonicalElement]
+    by_idx: dict[int, CanonicalElement]
     levels: dict[int, int] = field(default_factory=dict)
     caption_links: dict[int, int] = field(default_factory=dict)  # caption idx -> visual idx
     section_links: dict[int, int] = field(default_factory=dict)  # visual idx -> title idx
@@ -91,21 +94,13 @@ class ResolvedDocument:
     def from_document(cls, doc: CanonicalDocument) -> ResolvedDocument:
         return cls(
             doc_id=doc.doc_id,
-            page_count=doc.page_count,
             coord_unit=doc.coord_unit,
-            elements=list(doc.elements),
+            by_idx={e.idx: e for e in doc.elements},
         )
 
-    def index(self) -> dict[int, CanonicalElement]:
-        return {e.idx: e for e in self.elements}
-
-    def rebuild(self, by_idx: dict[int, CanonicalElement]) -> None:
-        """Re-read the element list from an edited ``index()``, in one pass.
-
-        Elements whose idx left the map were absorbed and are dropped; the
-        rest take the map's (possibly merged) element.
-        """
-        self.elements = [by_idx[e.idx] for e in self.elements if e.idx in by_idx]
+    @property
+    def elements(self) -> list[CanonicalElement]:
+        return list(self.by_idx.values())
 
 
 def merge_text(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> ResolvedDocument:
@@ -114,8 +109,8 @@ def merge_text(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Reso
     Pairs that are not adjacent text pairs in the current document are
     skipped with a PairNotAdjacent flag rather than failing the run.
     """
-    by_idx = resolved.index()
-    text_idx = sorted(e.idx for e in resolved.elements if e.etype is ElementType.TEXT)
+    by_idx = resolved.by_idx
+    text_idx = sorted(e.idx for e in by_idx.values() if e.etype is ElementType.TEXT)
     next_text = {a: b for a, b in zip(text_idx, text_idx[1:])}
 
     succ: dict[int, int] = {}
@@ -156,8 +151,6 @@ def merge_text(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Reso
         for i in chain[1:]:
             resolved.merge_log.remap[i] = start
             del by_idx[i]
-
-    resolved.rebuild(by_idx)
     return resolved
 
 
@@ -175,7 +168,7 @@ def merge_tables(
     table filter.
     """
     grids = grids or TableGrids()
-    by_idx = resolved.index()
+    by_idx = resolved.by_idx
     for upper_idx, lower_idx, columns in judgements:
         if not columns:
             continue
@@ -203,7 +196,6 @@ def merge_tables(
         resolved.merge_log.remap[lower.idx] = upper.idx
         by_idx[upper.idx] = replace(upper, table_html=outcome.grid.to_html())
         del by_idx[lower.idx]
-    resolved.rebuild(by_idx)
     return resolved
 
 
@@ -214,7 +206,8 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
     the front) and are flagged; predicted idx that are not titles are
     skipped with a flag.
     """
-    title_idx = [e.idx for e in resolved.elements if e.etype is ElementType.TITLE]
+    by_idx = resolved.by_idx
+    title_idx = [e.idx for e in by_idx.values() if e.etype is ElementType.TITLE]
     title_set = set(title_idx)
 
     for idx in sorted(levels):
@@ -222,7 +215,6 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
             resolved.flags.append(f"UnknownIdx:{idx}")
 
     stored: dict[int, int] = {}
-    demote: set[int] = set()
     prev_level = 1
     for idx in title_idx:
         if idx in levels:
@@ -234,24 +226,19 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
             resolved.flags.append(f"LevelClamped:{idx}:{level}")
             level = 1
         if level == -1:
-            demote.add(idx)
+            by_idx[idx] = by_idx[idx].with_type(ElementType.TEXT)
             resolved.demoted.append(idx)
             continue
         stored[idx] = level
         prev_level = level
 
-    if demote:
-        resolved.elements = [
-            e.with_type(ElementType.TEXT) if e.idx in demote else e
-            for e in resolved.elements
-        ]
     resolved.levels = stored
     return resolved
 
 
 def attach_links(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> ResolvedDocument:
     """Populate caption->visual and visual->title maps, remapping merged idx."""
-    by_idx = resolved.index()
+    by_idx = resolved.by_idx
     for src, tgt in pairs:
         src = resolved.merge_log.resolve(src)
         tgt = resolved.merge_log.resolve(tgt)
@@ -284,12 +271,11 @@ def check_text_conservation(
     join rule, and untouched text elements must be byte-identical.
     """
     problems: list[str] = []
-    resolved_by_idx = resolved.index()
     merged_src = {r.src_idx: r for r in resolved.merge_log.records if r.kind == "text"}
     absorbed = set(resolved.merge_log.remap)
 
     for idx, record in merged_src.items():
-        merged = resolved_by_idx.get(idx)
+        merged = resolved.by_idx.get(idx)
         if merged is None:
             problems.append(f"merged element {idx} missing from output")
             continue
@@ -300,7 +286,7 @@ def check_text_conservation(
     for e in original.elements:
         if e.etype is not ElementType.TEXT or e.idx in absorbed or e.idx in merged_src:
             continue
-        out = resolved_by_idx.get(e.idx)
+        out = resolved.by_idx.get(e.idx)
         if out is not None and out.etype is ElementType.TEXT and out.content != e.content:
             problems.append(f"untouched element {e.idx} changed content")
     return problems
@@ -316,14 +302,13 @@ def check_table_conservation(
     header row.
     """
     problems: list[str] = []
-    resolved_by_idx = resolved.index()
     original_by_idx = original.index()
     for record in resolved.merge_log.records:
         if record.kind != "table":
             continue
         upper = original_by_idx[record.src_idx]
         lower = original_by_idx[record.absorbed[0]]
-        merged = resolved_by_idx.get(record.src_idx)
+        merged = resolved.by_idx.get(record.src_idx)
         if merged is None:
             problems.append(f"merged table {record.src_idx} missing")
             continue

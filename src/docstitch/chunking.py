@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
 from .errors import BadConfig
-from .model import ElementType, json_int
+from .model import ElementType, int_key, json_int
 
 
 def round_half_away(x: float) -> int:
@@ -260,7 +260,7 @@ class DocumentPredictions:
         """The ``to_dict`` layout, typed; a missing field is empty.  A bad
         field raises one of ``errors.BAD_FIELD`` for the caller to name."""
         return cls(
-            hierarchy={int(k): json_int(v) for k, v in d.get("hierarchy", {}).items()},
+            hierarchy={int_key(k): json_int(v) for k, v in d.get("hierarchy", {}).items()},
             text_pairs=[(json_int(a), json_int(b)) for a, b in d.get("text_pairs", [])],
             assoc_pairs=[(json_int(a), json_int(b)) for a, b in d.get("assoc_pairs", [])],
             table_judgements=[

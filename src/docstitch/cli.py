@@ -64,36 +64,55 @@ def _load_document(path: Path, profile: str) -> CanonicalDocument:
     return result.document
 
 
+# Each settings flag: the config (section, key) whose rule reads its value,
+# and its argparse options.  The flag's value is stored in ``args.settings``
+# under the flag, so only the flags given are there.
+SETTINGS_FLAGS: dict[str, tuple[tuple[Optional[str], str], dict]] = {
+    "--profile": ((None, "profile"), {}),
+    "--stride": (("chunking", "stride"), {"type": int}),
+    "--threshold": (("chunking", "threshold"), {"type": int}),
+    "--predictor": (("predictor", "mode"), {"choices": ("rules", "remote")}),
+    "--backend-url": (("predictor", "backend_url"), {}),
+    "--node-chunk-chars": (("tree", "node_chunk_chars"), {"type": int}),
+    "--format": (("export", "formats"), {"choices": ("json", "markdown", "both")}),
+    "--jobs": ((None, "jobs"), {"type": int}),
+}
+
+
+class _Setting(argparse.Action):
+    """Store a settings flag's value in ``args.settings`` under the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.settings = {**namespace.settings, self.option_strings[0]: values}
+
+
+def _add_settings(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Give ``parser`` --config and the settings ``flags``."""
+    parser.add_argument("--config", default=None)
+    for flag in flags:
+        options = SETTINGS_FLAGS[flag][1]
+        parser.add_argument(flag, action=_Setting, default=argparse.SUPPRESS, **options)
+    parser.set_defaults(settings={})
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config file's settings, overridden by the environment's and
+    then by the flags', each read by its config key's rule."""
     raw: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         loaded = read_json(Path(args.config))
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         raw = loaded
-    cfg = PipelineConfig.from_dict(raw)
-
+    flags = {}
     env_url = os.environ.get(BACKEND_URL_ENV_VAR)
-    if env_url and not getattr(args, "backend_url", None):
-        cfg.backend_url = env_url
-
-    overrides = {
-        "profile": getattr(args, "profile", None),
-        "stride": getattr(args, "stride", None),
-        "threshold": getattr(args, "threshold", None),
-        "predictor_mode": getattr(args, "predictor", None),
-        "backend_url": getattr(args, "backend_url", None),
-        "node_chunk_chars": getattr(args, "node_chunk_chars", None),
-        "jobs": getattr(args, "jobs", None),
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
-    fmt = getattr(args, "format", None)
-    if fmt:
-        cfg.export_formats = ("json", "markdown") if fmt == "both" else (fmt,)
-    cfg.__post_init__()  # re-validate after overrides
-    return cfg
+    if env_url:
+        flags["predictor", "backend_url"] = (BACKEND_URL_ENV_VAR, env_url)
+    for flag, value in args.settings.items():
+        if flag == "--format":  # the config file lists the formats
+            value = ["json", "markdown"] if value == "both" else [value]
+        flags[SETTINGS_FLAGS[flag][0]] = (flag, value)
+    return PipelineConfig.from_dict(raw, flags)
 
 
 def _write_error(exc: DocstitchError) -> int:
@@ -235,8 +254,16 @@ def cmd_inspect_chunks(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors, so that ``main``
+    writes them as coded JSON; --help still prints and exits 0."""
+
+    def error(self, message: str):  # type: ignore[override]
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="docstitch",
         description="Stitch page-level OCR output into a document-level tree.",
     )
@@ -251,16 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_proc = sub.add_parser("process", help="run the full pipeline and write artifacts")
     p_proc.add_argument("input", nargs="+")
-    p_proc.add_argument("--config", default=None)
-    p_proc.add_argument("--profile", default=None)
-    p_proc.add_argument("--stride", type=int, default=None)
-    p_proc.add_argument("--threshold", type=int, default=None)
-    p_proc.add_argument("--predictor", choices=("rules", "remote"), default=None)
-    p_proc.add_argument("--backend-url", dest="backend_url", default=None)
-    p_proc.add_argument("--node-chunk-chars", dest="node_chunk_chars", type=int, default=None)
+    _add_settings(p_proc, *SETTINGS_FLAGS)
     p_proc.add_argument("--out-dir", dest="out_dir", required=True)
-    p_proc.add_argument("--format", choices=("json", "markdown", "both"), default=None)
-    p_proc.add_argument("--jobs", type=int, default=None)
     p_proc.set_defaults(func=cmd_process)
 
     p_eval = sub.add_parser("eval", help="score prediction artifacts against gold annotations")
@@ -278,10 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chunks = sub.add_parser("inspect-chunks", help="show the chunk plans for a document")
     p_chunks.add_argument("input")
-    p_chunks.add_argument("--config", default=None)
-    p_chunks.add_argument("--profile", default=None)
-    p_chunks.add_argument("--stride", type=int, default=None)
-    p_chunks.add_argument("--threshold", type=int, default=None)
+    _add_settings(p_chunks, "--profile", "--stride", "--threshold")
     p_chunks.add_argument("--out", default=None)
     p_chunks.set_defaults(func=cmd_inspect_chunks)
 
@@ -289,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DocstitchError as exc:
         return _write_error(exc)

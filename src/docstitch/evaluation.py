@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .chunking import DocumentPredictions
 from .errors import BAD_FIELD, SchemaMismatch, bad_field
-from .model import PageBox, json_int, json_str, page_boxes
+from .model import PageBox, int_key, json_int, json_str, page_boxes
 
 
 @dataclass
@@ -319,7 +319,7 @@ class GoldAnnotations(DocumentPredictions):
                 raise SchemaMismatch(f"unsupported annotation version {d['format_version']}")
             return cls(
                 doc_id=json_str(d["doc_id"]),
-                titles={int(k): json_str(v) for k, v in d.get("titles", {}).items()},
+                titles={int_key(k): json_str(v) for k, v in d.get("titles", {}).items()},
                 evidence_gold=page_boxes(d.get("evidence_gold", [])),
                 **vars(DocumentPredictions.from_dict(d)),
             )

@@ -70,6 +70,16 @@ def json_int(value: object) -> int:
     return value
 
 
+def int_key(key: str) -> int:
+    """An object key naming an integer as ``str(int)`` writes it: ASCII
+    digits with an optional leading minus, no space, underscore, '+' or
+    leading zero, within ±MAX_JSON_INT; so two keys never name one integer."""
+    value = json_int(int(key))
+    if key != str(value):
+        raise ValueError(f"expected an integer key as str(int) writes it, got {key!r}")
+    return value
+
+
 def json_number(value: object) -> float:
     """A finite JSON number (not a bool), as a float."""
     if type(value) not in _NUMBER_TYPES:
@@ -241,12 +251,6 @@ class CanonicalDocument:
     elements: list[CanonicalElement]
     coord_unit: CoordUnit = CoordUnit.PIXEL
     source_schema: str = "generic"
-
-    def by_idx(self, idx: int) -> CanonicalElement:
-        element = self.index().get(idx)
-        if element is None:
-            raise KeyError(f"no element with idx {idx}")
-        return element
 
     def index(self) -> dict[int, CanonicalElement]:
         return {e.idx: e for e in self.elements}

@@ -13,7 +13,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import apply as apply_mod
 from .apply import ResolvedDocument
@@ -62,7 +62,7 @@ from .tree import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     profile: str = "generic"
     stride: int = 8
@@ -101,9 +101,16 @@ class PipelineConfig:
             raise ConfigError(f"unknown export formats: {unknown}")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> PipelineConfig:
+    def from_dict(
+        cls, raw: dict, flags: Mapping[tuple[Optional[str], str], tuple[str, Any]] = {}
+    ) -> PipelineConfig:
         """Build from the config-file layout, rejecting unknown keys and
-        wrong-typed values; keys left out or null keep the dataclass defaults."""
+        wrong-typed values; keys left out or null keep the dataclass defaults.
+
+        ``flags`` maps a config (section, key) to a ``(name, value)`` pair,
+        from a CLI flag or the environment, that is read in place of the
+        file's value, by the same rule, and named by ``name`` in an error.
+        """
         allowed: dict[Optional[str], set[str]] = {}
         for section, key in CONFIG_KEYS:
             allowed.setdefault(section, set()).add(key)
@@ -119,13 +126,16 @@ class PipelineConfig:
 
         given: dict[str, dict[str, Any]] = {"": {}, "filters": {}, "rules": {}}
         for (section, key), (target, convert) in CONFIG_KEYS.items():
-            values = raw if section is None else raw.get(section, {})
-            if values.get(key) is None:
+            if (section, key) in flags:
+                where, value = flags[section, key]
+            else:
+                where = key if section is None else f"{section}.{key}"
+                value = (raw if section is None else raw.get(section, {})).get(key)
+            if value is None:
                 continue
             try:
-                value = convert(values[key])
+                value = convert(value)
             except BAD_FIELD as exc:
-                where = key if section is None else f"{section}.{key}"
                 raise bad_field(ConfigError, "config", exc, where) from exc
             owner, _, name = target.rpartition(".")
             given[owner][name] = value

@@ -101,7 +101,7 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
     # Captions/footnotes ride along with their linked visual.
     captions_for: dict[int, list[CanonicalElement]] = {}
     claimed: set[int] = set()
-    by_idx = resolved.index()
+    by_idx = resolved.by_idx
     for cap_idx, vis_idx in resolved.caption_links.items():
         cap = by_idx.get(cap_idx)
         if cap is not None and vis_idx in by_idx:
@@ -117,7 +117,7 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
     section_by_title: dict[int, DocNode] = {}
     pending_visuals: list[tuple[CanonicalElement, DocNode]] = []
 
-    for e in resolved.elements:
+    for e in by_idx.values():
         if e.etype is ElementType.TITLE:
             level = max(1, resolved.levels.get(e.idx, 1))  # root alone owns level 0
             while stack[-1].level >= level:

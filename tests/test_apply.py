@@ -146,7 +146,7 @@ def test_assign_levels_stores_and_demotes():
     r = assign_levels(_resolved(d), {0: 1, 1: -1})
     assert r.levels == {0: 1}
     assert r.demoted == [1]
-    assert r.index()[1].etype is ElementType.TEXT
+    assert r.by_idx[1].etype is ElementType.TEXT
 
 
 def test_assign_levels_missing_title_defaults_to_previous():
@@ -248,4 +248,4 @@ def test_content_conservation_under_random_chains(contents, data):
     # merged contents equal the fold of their fragments
     for record in r.merge_log.records:
         expected = reduce(join_fragments, (f["content"] for f in record.fragments))
-        assert r.index()[record.src_idx].content == expected
+        assert r.by_idx[record.src_idx].content == expected

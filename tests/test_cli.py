@@ -878,10 +878,23 @@ def test_eval_corrupted_gold_fails_with_schema_mismatch(tmp_path, capsys):
         ({}, {"doc_id": None}),
         ({}, {"titles": {"1": 7}}),
         ({}, {"format_version": True}),
+        # A key that str(int) would not write: "1_0" would read as 10, and
+        # " 3 ", the Arabic-Indic 3 and "01" as 3, so two keys of one file
+        # could name one idx.
+        ({"hierarchy": {"1_0": 1}}, {}),
+        ({"hierarchy": {" 3 ": 1}}, {}),
+        ({"hierarchy": {"\u0663": 1}}, {}),
+        ({"hierarchy": {"01": 1}}, {}),
+        ({}, {"titles": {"1_0": "Scope"}}),
+        ({}, {"titles": {" 3 ": "Scope"}}),
+        ({}, {"titles": {"\u0663": "Scope"}}),
+        ({}, {"titles": {"01": "Scope"}}),
     ],
     ids=["hierarchy-not-object", "level-infinite", "pair-infinite", "gold-level-infinite",
          "level-fraction", "pair-id-string", "judgement-fraction-bool", "gold-doc-id-null",
-         "gold-title-number", "gold-version-bool"],
+         "gold-title-number", "gold-version-bool", "key-underscore", "key-spaces",
+         "key-arabic-indic-digit", "key-leading-zero", "gold-key-underscore", "gold-key-spaces",
+         "gold-key-arabic-indic-digit", "gold-key-leading-zero"],
 )
 def test_eval_wrong_shaped_predictions_fail_with_schema_mismatch(tmp_path, capsys, pred, gold_fields):
     gold = {**json.loads((GOLD_DIR / "field_manual.gold.json").read_text()), **gold_fields}
@@ -1013,6 +1026,87 @@ def test_bad_chunking_flags_are_config_errors(tmp_path, capsys):
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "chunking.BadConfig"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        ("--stride", ("chunking", "stride"), 2**53 + 1),
+        ("--threshold", ("chunking", "threshold"), 2**53 + 1),
+        ("--jobs", (None, "jobs"), 2**53 + 1),
+        ("--node-chunk-chars", ("tree", "node_chunk_chars"), 2**53 + 1),
+        ("--profile", (None, "profile"), "\ud800"),
+    ],
+)
+def test_settings_flag_is_read_by_its_config_keys_rule(tmp_path, capsys, flag, key, value):
+    # A value the config file refuses is refused from the flag too, and the
+    # error names the flag; neither reads an input or makes --out-dir.
+    section, name = key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value} if section is None else {section: {name: value}}))
+    out = tmp_path / "out"
+    memo = str(CORPUS_DIR / "memo_single.json")
+    for argv, where in (
+        (["--config", str(cfg)], name if section is None else f"{section}.{name}"),
+        ([flag, str(value)], flag),
+    ):
+        assert run_cli("process", memo, *argv, "--out-dir", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "cli.ConfigError"
+        assert f"bad {where} field" in err["error"]["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["process", "memo.json", "--stride", "abc", "--out-dir", "out"],
+        ["process", "memo.json"],
+        [],
+        ["bogus"],
+        ["process", "memo.json", "--out-dir", "out", "--bogus"],
+        ["inspect-chunks", "memo.json", "--jobs", "2"],
+    ],
+    ids=["not-an-int", "no-out-dir", "no-subcommand", "unknown-subcommand", "unknown-flag",
+         "flag-of-another-subcommand"],
+)
+def test_usage_errors_are_one_coded_json_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"]["code"] == "cli.ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    for argv in (["--help"], ["process", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: docstitch")
+
+
+def test_settings_precedence_is_flag_then_env_then_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"chunking": {"stride": 6}, "predictor": {"backend_url": "http://file/"}}
+    ))
+
+    def settings(*argv: str) -> tuple:
+        args = docstitch.cli.build_parser().parse_args(["process", "in.json", "--out-dir", "o", *argv])
+        config = docstitch.cli._build_config(args)
+        return config.backend_url, config.stride
+
+    monkeypatch.delenv("DOCSTITCH_BACKEND_URL", raising=False)
+    assert settings() == (None, 8)
+    assert settings("--config", str(cfg)) == ("http://file/", 6)
+    monkeypatch.setenv("DOCSTITCH_BACKEND_URL", "http://env/")
+    assert settings() == ("http://env/", 8)
+    assert settings("--config", str(cfg)) == ("http://env/", 6)
+    flags = ("--backend-url", "http://flag/", "--stride", "5")
+    assert settings("--config", str(cfg), *flags) == ("http://flag/", 5)
 
 
 def test_env_var_supplies_backend_url(tmp_path, monkeypatch, capsys):

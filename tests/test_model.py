@@ -10,6 +10,7 @@ from docstitch.model import (
     PageIndex,
     bbox_is_valid,
     bbox_of,
+    int_key,
     json_int,
     json_number,
     json_str,
@@ -120,6 +121,14 @@ def test_json_int_is_an_int_within_rfc_8259_range():
     for v in (MAX_JSON_INT + 1, -MAX_JSON_INT - 1, 10**400):
         with pytest.raises(ValueError):
             json_int(v)
+
+
+def test_int_key_is_an_integer_as_str_writes_it():
+    for value in (0, 7, -3, MAX_JSON_INT, -MAX_JSON_INT):
+        assert int_key(str(value)) == value
+    for key in ("1_0", " 3 ", "\u0663", "01", "-0", "+1", "", "x", str(MAX_JSON_INT + 1)):
+        with pytest.raises((TypeError, ValueError)):
+            int_key(key)
 
 
 def test_json_number_is_a_finite_int_or_float():

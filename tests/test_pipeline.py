@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import threading
@@ -83,7 +84,7 @@ def test_pipeline_with_well_behaved_remote_backend():
     assert result.predictions.hierarchy == {0: 1, 1: -1, 3: 2}
     assert result.resolved.levels == {0: 1, 3: 2}
     # the demoted title is re-typed as text and lands in a section body
-    demoted = result.resolved.index()[1]
+    demoted = result.resolved.by_idx[1]
     assert demoted.etype is ElementType.TEXT
     assert 1 in result.resolved.demoted
     section_ids = [n.node_id for n in result.tree.walk() if n.kind == NodeKind.SECTION]
@@ -308,6 +309,12 @@ def test_config_rejects_bad_modes_and_ranges():
 def test_config_rejects_wrong_typed_values(raw):
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict(raw)
+
+
+def test_config_is_frozen():
+    cfg = PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.stride = 4  # type: ignore[misc]
 
 
 def test_config_defaults_come_from_the_dataclasses():

@@ -471,8 +471,9 @@ def long_appendix() -> tuple[CanonicalDocument, dict]:
             levels[idx] = 3
     text_pair = []
     texts = [e.idx for e in doc.elements if e.etype is ElementType.TEXT]
+    by_idx = doc.index()
     for a, b in zip(texts, texts[1:]):
-        if doc.by_idx(a).content.endswith("be-"):
+        if by_idx[a].content.endswith("be-"):
             text_pair.append([a, b])
     tables = [e.idx for e in doc.elements if e.etype is ElementType.TABLE]
     # Each table is governed by the nearest preceding heading.
