@@ -61,21 +61,36 @@ from .tree import (
     chunk_nodes,
     summarize_nodes,
 )
-from .evaluation import (
-    EvalReport,
-    GoldAnnotations,
-    LabeledTree,
-    bbox_scores,
-    hierarchy_tree,
-    merge_accuracy,
-    pair_prf,
-    teds,
-    tree_edit_distance,
-)
 from .exporters import export_json, export_markdown, tree_from_json
 from .pipeline import DocumentPredictions, PipelineConfig, PipelineResult, run_pipeline
 
 __version__ = "0.1.0"
+
+# The evaluation code is loaded on first use of one of its names (PEP 562),
+# so that importing the package or running the pipeline does not load it.
+_EVALUATION_NAMES = frozenset({
+    "EvalReport",
+    "GoldAnnotations",
+    "LabeledTree",
+    "bbox_scores",
+    "hierarchy_tree",
+    "merge_accuracy",
+    "pair_prf",
+    "teds",
+    "tree_edit_distance",
+})
+
+
+def __getattr__(name: str):
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _EVALUATION_NAMES)
 
 __all__ = [
     "CanonicalDocument",

@@ -13,16 +13,14 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import ConfigError, DocstitchError, DuplicateDocId
-from .evaluation import GoldAnnotations, evaluate
+from .errors import ConfigError, DocstitchError, DuplicateDocId, bad_field
 from .exporters import export_json, export_markdown, tree_from_dict
 from .ingest import normalize_elements
 from .jsonio import dumps_pretty, read_json
-from .model import CanonicalDocument, validate_document
+from .model import CanonicalDocument, int_key, validate_document
 from .pipeline import PipelineConfig, plan_subtasks, run_pipeline
 
 BACKEND_URL_ENV_VAR = "DOCSTITCH_BACKEND_URL"
@@ -64,18 +62,27 @@ def _load_document(path: Path, profile: str) -> CanonicalDocument:
     return result.document
 
 
+def _formats(value: str) -> list[str]:
+    """The config file's list of export formats for a --format value."""
+    return ["json", "markdown"] if value == "both" else [value]
+
+
 # Each settings flag: the config (section, key) whose rule reads its value,
-# and its argparse options.  The flag's value is stored in ``args.settings``
-# under the flag, so only the flags given are there.
-SETTINGS_FLAGS: dict[str, tuple[tuple[Optional[str], str], dict]] = {
-    "--profile": ((None, "profile"), {}),
-    "--stride": (("chunking", "stride"), {"type": int}),
-    "--threshold": (("chunking", "threshold"), {"type": int}),
-    "--predictor": (("predictor", "mode"), {"choices": ("rules", "remote")}),
-    "--backend-url": (("predictor", "backend_url"), {}),
-    "--node-chunk-chars": (("tree", "node_chunk_chars"), {"type": int}),
-    "--format": (("export", "formats"), {"choices": ("json", "markdown", "both")}),
-    "--jobs": ((None, "jobs"), {"type": int}),
+# how the flag's text becomes a value of the config file's kind (an integer
+# as ``model.int_key`` reads it), and its argparse options.  The flag's text
+# is stored in ``args.settings`` under the flag, so only the flags given are
+# there.
+SETTINGS_FLAGS: dict[
+    str, tuple[tuple[Optional[str], str], Callable[[str], object], dict]
+] = {
+    "--profile": ((None, "profile"), str, {}),
+    "--stride": (("chunking", "stride"), int_key, {}),
+    "--threshold": (("chunking", "threshold"), int_key, {}),
+    "--predictor": (("predictor", "mode"), str, {"choices": ("rules", "remote")}),
+    "--backend-url": (("predictor", "backend_url"), str, {}),
+    "--node-chunk-chars": (("tree", "node_chunk_chars"), int_key, {}),
+    "--format": (("export", "formats"), _formats, {"choices": ("json", "markdown", "both")}),
+    "--jobs": ((None, "jobs"), int_key, {}),
 }
 
 
@@ -90,7 +97,7 @@ def _add_settings(parser: argparse.ArgumentParser, *flags: str) -> None:
     """Give ``parser`` --config and the settings ``flags``."""
     parser.add_argument("--config", default=None)
     for flag in flags:
-        options = SETTINGS_FLAGS[flag][1]
+        options = SETTINGS_FLAGS[flag][2]
         parser.add_argument(flag, action=_Setting, default=argparse.SUPPRESS, **options)
     parser.set_defaults(settings={})
 
@@ -108,10 +115,12 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     env_url = os.environ.get(BACKEND_URL_ENV_VAR)
     if env_url:
         flags["predictor", "backend_url"] = (BACKEND_URL_ENV_VAR, env_url)
-    for flag, value in args.settings.items():
-        if flag == "--format":  # the config file lists the formats
-            value = ["json", "markdown"] if value == "both" else [value]
-        flags[SETTINGS_FLAGS[flag][0]] = (flag, value)
+    for flag, text in args.settings.items():
+        key, read, _ = SETTINGS_FLAGS[flag]
+        try:
+            flags[key] = (flag, read(text))
+        except ValueError as exc:
+            raise bad_field(ConfigError, "config", exc, flag) from exc
     return PipelineConfig.from_dict(raw, flags)
 
 
@@ -213,6 +222,9 @@ def cmd_process(args: argparse.Namespace) -> int:
     gc.disable()
     try:
         if cfg.jobs > 1 and len(inputs) > 1:
+            # Imported here so that a run without a pool does not load it.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
                 results = list(pool.map(job, range(len(inputs))))
         else:
@@ -226,6 +238,8 @@ def cmd_process(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import GoldAnnotations, evaluate
+
     pred_raw = read_json(Path(args.pred))
     gold_raw = read_json(Path(args.gold))
     gold = GoldAnnotations.from_dict(gold_raw)  # type: ignore[arg-type]

@@ -71,12 +71,12 @@ def json_int(value: object) -> int:
 
 
 def int_key(key: str) -> int:
-    """An object key naming an integer as ``str(int)`` writes it: ASCII
-    digits with an optional leading minus, no space, underscore, '+' or
+    """An object key or CLI flag naming an integer as ``str(int)`` writes it:
+    ASCII digits with an optional leading minus, no space, underscore, '+' or
     leading zero, within ±MAX_JSON_INT; so two keys never name one integer."""
     value = json_int(int(key))
     if key != str(value):
-        raise ValueError(f"expected an integer key as str(int) writes it, got {key!r}")
+        raise ValueError(f"expected an integer as str(int) writes it, got {key!r}")
     return value
 
 

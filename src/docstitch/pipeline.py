@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -368,6 +367,9 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         return getattr(predictor, method)(request)
 
     if cfg.predictor_mode == "remote" and cfg.parallelism > 1 and len(jobs) > 1:
+        # Imported here so that a run without a pool does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             results = dict(zip(jobs, pool.map(predict, jobs.values())))
     else:

@@ -14,12 +14,9 @@ to the rule baseline instead of failing the run.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
-import urllib.error
-import urllib.request
 from typing import Callable
 
 from ..errors import BAD_FIELD, BackendUnavailable, MalformedResponse
@@ -48,6 +45,12 @@ def post_json(url: str, body: dict, timeout: float, service: str = "backend") ->
     Raises BackendUnavailable when ``service`` is unreachable or answers
     other than 200, and MalformedResponse when the reply is not JSON.
     """
+    # Imported here, on the first call, so that a run which never posts
+    # loads no HTTP, TLS or e-mail module.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(TOKEN_ENV_VAR)
     if token:

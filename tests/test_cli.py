@@ -38,16 +38,22 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
-def run_cli_process(*argv, prelude: str = "") -> subprocess.CompletedProcess:
-    """``docstitch.cli.main(argv)`` in a fresh interpreter that runs
-    ``prelude`` first."""
-    code = f"import sys\n{prelude}\nfrom docstitch.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+def run_python(code: str, *argv) -> subprocess.CompletedProcess:
+    """``code`` with ``argv`` in a fresh interpreter that imports docstitch
+    from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
+
+
+def run_cli_process(*argv, prelude: str = "") -> subprocess.CompletedProcess:
+    """``docstitch.cli.main(argv)`` in a fresh interpreter that runs
+    ``prelude`` first."""
+    code = f"import sys\n{prelude}\nfrom docstitch.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return run_python(code, *argv)
 
 
 def answering_backend(**overrides) -> MockBackend:
@@ -501,6 +507,40 @@ def test_process_remote_needs_nothing_outside_the_standard_library(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert backend.requests
     assert degraded_warnings(tmp_path) == []
+
+
+def test_rules_mode_process_loads_no_transport_pool_or_evaluation(tmp_path):
+    # Counted from before the import, so modules the interpreter's site
+    # set-up loads do not count.  One input with --jobs 4 builds no pool.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import docstitch.cli\n"
+        "imported = set(sys.modules) - before\n"
+        "status = docstitch.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(imported), sorted(set(sys.modules) - before)]))\n"
+    )
+    proc = run_python(
+        code, "process", str(CORPUS_DIR / "memo_single.json"), "--jobs", "4", "--out-dir", str(tmp_path)
+    )
+    status, imported, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0, proc.stderr
+    assert "docstitch.cli" in imported
+    unused = {"http.client", "urllib.request", "urllib.error", "ssl", "socket", "email",
+              "concurrent.futures", "docstitch.evaluation"}
+    assert unused.isdisjoint(imported)
+    assert unused.isdisjoint(after_run)
+
+
+def test_package_exports_resolve_on_first_use():
+    namespace: dict = {}
+    exec("from docstitch import *", namespace)
+    assert set(docstitch.__all__) <= set(namespace)
+    assert namespace["teds"] is docstitch.teds
+    assert docstitch.GoldAnnotations.__module__ == "docstitch.evaluation"
+    assert {"teds", "GoldAnnotations", "run_pipeline"} <= set(dir(docstitch))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        docstitch.no_such_name
 
 
 def test_process_malformed_backend_url_degrades(tmp_path):
@@ -1036,6 +1076,11 @@ def test_bad_chunking_flags_are_config_errors(tmp_path, capsys):
         ("--jobs", (None, "jobs"), 2**53 + 1),
         ("--node-chunk-chars", ("tree", "node_chunk_chars"), 2**53 + 1),
         ("--profile", (None, "profile"), "\ud800"),
+        # An integer flag is read as str(int) writes it, as an object key is.
+        ("--stride", ("chunking", "stride"), "1_0"),
+        ("--threshold", ("chunking", "threshold"), " 3 "),
+        ("--jobs", (None, "jobs"), "\u0663"),  # an Arabic-Indic digit
+        ("--node-chunk-chars", ("tree", "node_chunk_chars"), "08"),
     ],
 )
 def test_settings_flag_is_read_by_its_config_keys_rule(tmp_path, capsys, flag, key, value):

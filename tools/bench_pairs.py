@@ -13,8 +13,12 @@ Each checkout runs its own ``perfbench/`` against its own ``src/``.  The run
 length and the end-to-end metrics with their direction come from the
 change checkout's ``BENCHMARK.json``, so both sides run the benchmark's
 length.  For each workload and metric the summary gives both sides'
-median, quartiles and range, and ``change_better``: the number of pairs in
-which the change read better, ties counting for neither side.  A run that
+median, quartiles and range; ``change_better``, the number of pairs in
+which the change read better, ties counting for neither side;
+``parent_iqr``, the parent's interquartile range (q3 - q1); and
+``gap_exceeds_parent_iqr``, whether the two medians differ by more than
+that range.  A gain is claimed only when the change reads better in at
+least nine pairs of ten and the gap exceeds the range.  A run that
 exits non-zero or does not print ``"correct": true`` is recorded with its
 stderr tail and left out of the summary.
 """
@@ -73,12 +77,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent = [p["parent"]["metrics"][name] for p in ok]
         change = [p["change"]["metrics"][name] for p in ok]
         better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        parent_spread, change_spread = spread(parent), spread(change)
+        parent_iqr = parent_spread["q3"] - parent_spread["q1"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "parent": spread(parent),
-            "change": spread(change),
+            "parent": parent_spread,
+            "change": change_spread,
             "change_better": f"{better}/{len(ok)}",
+            "parent_iqr": parent_iqr,
+            "gap_exceeds_parent_iqr": abs(change_spread["median"] - parent_spread["median"]) > parent_iqr,
         }
     return out
 
@@ -104,8 +112,10 @@ def main() -> int:
             for side in sides:
                 pair[side] = run_once(getattr(args, side), workload, args.seed, seconds)
             pairs.append(pair)
-            print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{side} wall_s {pair[side].get('metrics', {}).get('wall_s', 'failed')}"
+            print(f"{workload} pair {i + 1}/{args.pairs}: " + "; ".join(
+                f"{side} " + (", ".join(
+                    f"{m['name']} {pair[side]['metrics'][m['name']]:.4g}" for m in bench["end_to_end"]
+                ) if pair[side]["correct"] else "failed")
                 for side in ("parent", "change")), file=sys.stderr, flush=True)
         report["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
