@@ -61,7 +61,7 @@ from .tree import (
     chunk_nodes,
     summarize_nodes,
 )
-from .exporters import export_json, export_markdown, tree_from_json
+from .exporters import export_json, export_markdown, tree_from_json, write_json
 from .pipeline import DocumentPredictions, PipelineConfig, PipelineResult, run_pipeline
 
 __version__ = "0.1.0"
@@ -149,6 +149,7 @@ __all__ = [
     "export_json",
     "export_markdown",
     "tree_from_json",
+    "write_json",
     "PipelineConfig",
     "PipelineResult",
     "DocumentPredictions",

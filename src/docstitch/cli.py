@@ -14,10 +14,10 @@ import os
 import sys
 import threading
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .errors import ConfigError, DocstitchError, DuplicateDocId, bad_field
-from .exporters import export_json, export_markdown, tree_from_dict
+from .exporters import export_json, export_markdown, tree_from_dict, write_json
 from .ingest import normalize_elements
 from .jsonio import dumps_pretty, read_json
 from .model import CanonicalDocument, int_key, validate_document
@@ -26,21 +26,25 @@ from .pipeline import PipelineConfig, plan_subtasks, run_pipeline
 BACKEND_URL_ENV_VAR = "DOCSTITCH_BACKEND_URL"
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
-    over ``path``: a write that fails leaves the previous file whole and no
-    temporary file behind.  (No fsync: this guards against a failed run,
+def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Call ``write`` on a temporary text file beside ``path``, then rename
+    it over ``path``: a write that fails leaves the previous file whole and
+    no temporary file behind.  (No fsync: this guards against a failed run,
     not against power loss.)"""
     # Not tempfile.mkstemp: its 0600 mode would change the artifact's
     # permissions.  The name is unique per process and thread.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_file(path, lambda f: f.write(text))
 
 
 def _dump(obj: dict, path: Optional[Path] = None) -> None:
@@ -161,7 +165,8 @@ def _process_one(
     stem = doc.doc_id
 
     if "json" in cfg.export_formats:
-        _write_text(out_dir / f"{stem}.tree.json", export_json(result.tree))
+        # Streamed: the tree's text is the largest thing a run writes.
+        _write_file(out_dir / f"{stem}.tree.json", lambda f: write_json(result.tree, f))
     if "markdown" in cfg.export_formats:
         _write_text(out_dir / f"{stem}.md", export_markdown(result.tree))
     _dump(result.resolved.merge_log.to_dict(), out_dir / f"{stem}.merge_log.json")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from json.encoder import encode_basestring as _quote
+from typing import Callable, TextIO
 
 from .errors import BAD_FIELD, MalformedInput, bad_field
 from .jsonio import _INDENT, _float, _int, _value
@@ -36,6 +37,14 @@ FORMAT_VERSION = 1
 # list entry per scalar.  The text is exactly what jsonio.dumps_pretty (and
 # so json.dumps(indent=2, ensure_ascii=False)) gives for the same records as
 # dicts; tests/oracles.py keeps that dict form as the reference.
+#
+# The text leaves the writer in pieces: once its parts list holds this many
+# parts (a node's own record, or a bracket or comma between child nodes, is
+# one part), the list is joined, handed to the sink and cleared.  So writing
+# DOC.tree.json holds a few hundred node records at a time, not the whole
+# text.  The largest part is the root's record, which lists every page's
+# furniture: 2% of the text on the benchmark's 1,800-page report.
+_PIECE_PARTS = 512
 
 
 def _text(v: object, nl: str) -> str:
@@ -91,7 +100,7 @@ def _box(box: object, box_tpl: str, nl: str) -> str:
     return _text(box, nl)
 
 
-def _write_node(node: DocNode, nl: str, out: list[str]) -> None:
+def _write_node(node: DocNode, nl: str, out: list[str], sink: Callable[[str], object]) -> None:
     i, j, k, first, rest, end, close, head, element, pair, box_tpl = _layout(nl)
     body = [
         element % (
@@ -126,25 +135,42 @@ def _write_node(node: DocNode, nl: str, out: list[str]) -> None:
         sep = first
         for child in node.children:
             out.append(sep)
-            _write_node(child, j, out)
+            _write_node(child, j, out, sink)
             sep = rest
         out.append(end)
     else:
         out.append("[]")
     out.append(close)
+    if len(out) >= _PIECE_PARTS:
+        sink("".join(out))
+        out.clear()
 
 
-def export_json(tree: DocTree) -> str:
-    """``DOC.tree.json``: the text ``json.dumps(doc, ensure_ascii=False,
-    indent=2) + "\\n"`` gives for the tree as nested dicts, byte for byte."""
+def _write_tree(tree: DocTree, sink: Callable[[str], object]) -> None:
+    """Hand the text of ``DOC.tree.json`` to ``sink`` in order, in pieces
+    of about ``_PIECE_PARTS`` parts."""
     i = "\n" + _INDENT
     out = [
         f'{{{i}"format_version": {FORMAT_VERSION},{i}"doc_id": %s,{i}"coord_unit": %s,'
         f'{i}"root": ' % (_text(tree.doc_id, i), _text(tree.coord_unit.value, i))
     ]
-    _write_node(tree.root, i, out)
+    _write_node(tree.root, i, out, sink)
     out.append("\n}\n")
-    return "".join(out)
+    sink("".join(out))
+
+
+def write_json(tree: DocTree, fp: TextIO) -> None:
+    """Write ``export_json(tree)`` to the text file ``fp`` in bounded
+    pieces, so the whole text is never held at once."""
+    _write_tree(tree, fp.write)
+
+
+def export_json(tree: DocTree) -> str:
+    """``DOC.tree.json``: the text ``json.dumps(doc, ensure_ascii=False,
+    indent=2) + "\\n"`` gives for the tree as nested dicts, byte for byte."""
+    pieces: list[str] = []
+    _write_tree(tree, pieces.append)
+    return "".join(pieces)
 
 
 def _node_from_dict(d: dict) -> DocNode:

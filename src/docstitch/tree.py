@@ -61,6 +61,10 @@ class DocTree:
     coord_unit: CoordUnit
     root: DocNode
     flags: list[str] = field(default_factory=list)
+    # The (page, bbox) pairs of each merged element's fragments, by the
+    # merged element's idx, as build_tree reads them from the merge records;
+    # like ``flags``, not part of DOC.tree.json.
+    fragment_boxes: dict[int, list[tuple[int, Sequence[float]]]] = field(default_factory=dict)
 
     def walk(self) -> Iterator[DocNode]:
         return self.root.walk()
@@ -86,7 +90,7 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
     """Assemble the section hierarchy and attach every element to a node."""
     # A merged element spans its fragments' boxes; any other element has the
     # one pair (page, bbox) holding its own bbox tuple.
-    fragment_boxes: dict[int, list[tuple[int, Sequence[float]]]] = {
+    fragment_boxes = {
         record.src_idx: [(f["page"], f["bbox"]) for f in record.fragments]
         for record in resolved.merge_log.records
     }
@@ -111,7 +115,12 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
         caps.sort(key=lambda e: e.idx)
 
     root = DocNode(node_id="root", kind=NodeKind.ROOT, level=0, anchor=-1)
-    tree = DocTree(doc_id=resolved.doc_id, coord_unit=resolved.coord_unit, root=root)
+    tree = DocTree(
+        doc_id=resolved.doc_id,
+        coord_unit=resolved.coord_unit,
+        root=root,
+        fragment_boxes=fragment_boxes,
+    )
     stack: list[DocNode] = [root]
     parents: list[DocNode] = [root]  # the root and every section
     section_by_title: dict[int, DocNode] = {}
@@ -186,6 +195,8 @@ def chunk_nodes(
     ``forbidden_boundaries`` (pairs of consecutive element idx that are
     truncation joins) are never split points; the split defers to the next
     allowed boundary.  Paragraph order and total content are untouched.
+    A subnode's boxes are its elements' boxes, every fragment's box for a
+    merged element.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -220,7 +231,11 @@ def chunk_nodes(
                     anchor=group[0].idx,
                     title_path=list(node.title_path),
                     body=group,
-                    bboxes=[(e.page, e.bbox) for e in group],
+                    bboxes=[
+                        box
+                        for e in group
+                        for box in tree.fragment_boxes.get(e.idx, [(e.page, e.bbox)])
+                    ],
                 )
             )
         node.body = []

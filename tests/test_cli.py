@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import hashlib
 import io
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
@@ -21,17 +24,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import docstitch.cli
+import docstitch.exporters
 from docstitch import errors
 from docstitch.cli import _process_one, main
+from docstitch.exporters import export_json
 from docstitch.model import CanonicalDocument, ElementType, doc_id_of
 from docstitch.pipeline import PipelineConfig, run_pipeline
 from docstitch.predictors.remote import RemotePredictor
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
 from .mock_backend import MockBackend, Seq
+from .oracles import tree_to_dict
 
 RAW = Path(__file__).parent / "fixtures" / "raw"
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(*argv) -> int:
@@ -168,6 +175,83 @@ def test_failed_artifact_write_keeps_previous_files(tmp_path, monkeypatch):
     monkeypatch.setattr(docstitch.cli, "export_markdown", lambda tree: "# partial\n\ud800")
     with pytest.raises(UnicodeEncodeError):
         run_cli(*args)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def generated_report(tmp_path: Path, monkeypatch, pages: int) -> Path:
+    """A perfbench report of ``pages`` pages, saved as a canonical document."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    path = tmp_path / f"report{pages}.json"
+    path.write_text(json.dumps(gen.make_report(random.Random(f"report:{pages}"), path.stem, pages)))
+    return path
+
+
+def test_streamed_tree_artifact_is_the_exported_text(tmp_path, monkeypatch):
+    # DOC.tree.json reaches its file in pieces, several for the 120-page
+    # report; the file is still byte for byte export_json's text and the
+    # stdlib text of the oracle's dict.
+    inputs = [CORPUS_DIR / f"{doc_id}.json" for doc_id in CORPUS_IDS]
+    inputs.append(generated_report(tmp_path, monkeypatch, 120))
+    out = tmp_path / "out"
+    assert run_cli("process", *map(str, inputs), "--out-dir", str(out)) == 0
+    for path in inputs:
+        doc = CanonicalDocument.from_json(path.read_text())
+        tree = run_pipeline(doc, PipelineConfig()).tree
+        text = export_json(tree)
+        assert text == json.dumps(tree_to_dict(tree), ensure_ascii=False, indent=2) + "\n"
+        assert (out / f"{doc.doc_id}.tree.json").read_bytes() == text.encode(), doc.doc_id
+
+
+def test_tree_artifact_write_holds_under_half_its_size(tmp_path, monkeypatch):
+    # Writing DOC.tree.json used to hold its whole text twice (the str and
+    # its UTF-8 bytes); streamed, its traced peak is a few pieces.
+    report = generated_report(tmp_path, monkeypatch, 600)
+    peaks = []
+    write_json = docstitch.cli.write_json
+
+    def traced(tree, fp):
+        tracemalloc.start()
+        try:
+            write_json(tree, fp)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(docstitch.cli, "write_json", traced)
+    assert run_cli("process", str(report), "--format", "json", "--out-dir", str(tmp_path)) == 0
+    size = (tmp_path / "report600.tree.json").stat().st_size
+    assert size > 2_000_000
+    assert len(peaks) == 1 and peaks[0] < size / 2, (peaks, size)
+
+
+def test_failed_streamed_tree_write_keeps_previous_file(tmp_path, monkeypatch):
+    # The streamed counterpart of the test above: the tree's text fails
+    # after its first piece has reached the temporary file.
+    args = ("process", str(CORPUS_DIR / "field_manual.json"), "--out-dir", str(tmp_path))
+    assert run_cli(*args) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(docstitch.exporters, "_PIECE_PARTS", 4)
+    written = []
+    write_json = docstitch.cli.write_json
+
+    class FullAfterOnePiece:
+        def __init__(self, fp):
+            self.fp = fp
+
+        def write(self, piece):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(self.fp.write(piece))
+            self.fp.flush()  # the first piece is in the temporary file
+
+    monkeypatch.setattr(
+        docstitch.cli, "write_json", lambda tree, fp: write_json(tree, FullAfterOnePiece(fp))
+    )
+    with pytest.raises(OSError, match="No space"):
+        run_cli(*args)
+    assert written
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

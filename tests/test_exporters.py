@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import enum
+import io
 import json
 import random
 import tracemalloc
@@ -9,8 +10,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import docstitch.exporters
 from docstitch.apply import ResolvedDocument
-from docstitch.exporters import export_json, export_markdown, tree_from_json
+from docstitch.exporters import export_json, export_markdown, tree_from_json, write_json
 from docstitch.model import CanonicalDocument, CanonicalElement, CoordUnit, ElementType
 from docstitch.pipeline import PipelineConfig, run_pipeline
 from docstitch.tree import DocNode, DocTree, NodeKind, build_tree
@@ -111,6 +113,39 @@ def test_json_export_peak_memory_is_below_three_times_its_text(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(text), peak / len(text)
+
+
+class Pieces(io.StringIO):
+    """A text file that counts its writes."""
+
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_write_json_pieces_join_to_export_json(corpus, monkeypatch):
+    # The 120-page report spans several pieces; and wherever a piece ends
+    # (after any node: one part per piece at the extreme), the pieces join
+    # to export_json's text.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    report = gen.make_report(random.Random("report:120"), "report", 120)
+    docs = [*corpus.values(), CanonicalDocument.from_dict(report)]
+    trees = [run_pipeline(doc, PipelineConfig()).tree for doc in docs]
+    texts = [export_json(tree) for tree in trees]
+    fp = Pieces()
+    write_json(trees[-1], fp)
+    assert fp.writes >= 3
+    for parts in (1, 2, 3, 7):
+        monkeypatch.setattr(docstitch.exporters, "_PIECE_PARTS", parts)
+        for tree, text in zip(trees, texts):
+            fp = Pieces()
+            write_json(tree, fp)
+            assert fp.getvalue() == text, (parts, tree.doc_id)
+            assert export_json(tree) == text
 
 
 # -- fuzz: exporters never fail on any valid tree -------------------------

@@ -235,3 +235,35 @@ def test_every_non_root_node_gets_a_summary(corpus):
         for node in tree.walk():
             if node.kind != NodeKind.ROOT:
                 assert node.summary is not None
+
+
+def test_node_boxes_cover_every_fragment_at_node_chunk_chars_50(corpus):
+    # Each node lists, in order, the boxes of its title element (a section),
+    # its body elements and, for a split section, its subnodes' elements;
+    # a merged element lists one box per fragment, in a subnode too.
+    from docstitch.pipeline import run_pipeline
+
+    cfg = PipelineConfig.from_dict({"tree": {"node_chunk_chars": 50}})
+    merged_in_subnodes = 0
+    for doc in corpus.values():
+        result = run_pipeline(doc, cfg)
+        by_idx = result.resolved.by_idx
+        fragments = {
+            r.src_idx: [(f["page"], tuple(f["bbox"])) for f in r.fragments]
+            for r in result.resolved.merge_log.records
+        }
+
+        def boxes(elements):
+            return [b for e in elements for b in fragments.get(e.idx, [(e.page, tuple(e.bbox))])]
+
+        for node in result.tree.walk():
+            expected = boxes([by_idx[node.anchor]]) if node.kind == NodeKind.SECTION else []
+            expected += boxes(node.body)
+            if node.kind == NodeKind.SECTION:
+                expected += boxes(
+                    e for c in node.children if c.kind == NodeKind.SUBNODE for e in c.body
+                )
+            assert [(p, tuple(b)) for p, b in node.bboxes] == expected, (doc.doc_id, node.node_id)
+            if node.kind == NodeKind.SUBNODE:
+                merged_in_subnodes += sum(e.idx in fragments for e in node.body)
+    assert merged_in_subnodes > 0
