@@ -160,7 +160,9 @@ def merge_tables(
     grids: Optional[TableGrids] = None,
 ) -> ResolvedDocument:
     """Fuse each table pair (upper_idx, lower_idx) per its column judgement
-    vector; an empty vector means the pair is not one table.
+    vector; an empty vector means the pair is not one table.  An upper table
+    that an earlier pair absorbed is found in the table that absorbed it, so
+    a table split over three pages becomes one table (two merge records).
 
     A pair that cannot be fused (an endpoint missing or not a table, a
     judgement of the wrong width, unparseable HTML) is skipped with a
@@ -172,7 +174,8 @@ def merge_tables(
     for upper_idx, lower_idx, columns in judgements:
         if not columns:
             continue
-        upper, lower = by_idx.get(upper_idx), by_idx.get(lower_idx)
+        upper = by_idx.get(resolved.merge_log.resolve(upper_idx))
+        lower = by_idx.get(lower_idx)
         try:
             if upper is None or lower is None:
                 raise ColumnMismatch(f"table pair ({upper_idx}, {lower_idx}) not in document")
@@ -295,36 +298,41 @@ def check_text_conservation(
 def check_table_conservation(
     original: CanonicalDocument, resolved: ResolvedDocument
 ) -> list[str]:
-    """Verify the merged table holds every non-dropped cell text.
+    """Verify each merged table holds every non-dropped cell text.
 
     The multiset of logical cell texts must be preserved up to (a) fused
     cells replaced by their recorded join and (b) the dropped repeated
-    header row.
+    header row.  The records are replayed in order, so a table merged from
+    a chain of fragments is checked against all of them.
     """
     problems: list[str] = []
     original_by_idx = original.index()
+    expected: dict[int, list[str]] = {}  # cell texts of each table merged so far
+
+    def cells(idx: int) -> list[str]:
+        if idx in expected:
+            return expected.pop(idx)
+        return parse_table(original_by_idx[idx].table_html or "").cell_texts()
+
     for record in resolved.merge_log.records:
         if record.kind != "table":
             continue
-        upper = original_by_idx[record.src_idx]
-        lower = original_by_idx[record.absorbed[0]]
-        merged = resolved.by_idx.get(record.src_idx)
-        if merged is None:
-            problems.append(f"merged table {record.src_idx} missing")
-            continue
-        upper_cells = parse_table(upper.table_html or "").cell_texts()
-        lower_grid = parse_table(lower.table_html or "")
-        lower_cells = lower_grid.cell_texts()
+        lower_idx = record.absorbed[0]
+        lower_cells = cells(lower_idx)
         if record.dropped_header:
-            header = lower_grid.slice_rows(0, 1).cell_texts()
-            for cell in header:
+            lower = original_by_idx[lower_idx]
+            for cell in parse_table(lower.table_html or "").slice_rows(0, 1).cell_texts():
                 lower_cells.remove(cell)
-        expected = sorted(upper_cells + lower_cells)
+        merged_cells = cells(record.src_idx) + lower_cells
         for fusion in record.fused:
-            expected.remove(fusion["upper"])
-            expected.remove(fusion["lower"])
-            expected.append(fusion["joined"])
-        got = sorted(parse_table(merged.table_html or "").cell_texts())
-        if sorted(expected) != got:
-            problems.append(f"table {record.src_idx}: cell multiset not conserved")
+            merged_cells.remove(fusion["upper"])
+            merged_cells.remove(fusion["lower"])
+            merged_cells.append(fusion["joined"])
+        expected[record.src_idx] = merged_cells
+    for idx, merged_cells in expected.items():
+        merged = resolved.by_idx.get(idx)
+        if merged is None:
+            problems.append(f"merged table {idx} missing")
+        elif sorted(merged_cells) != sorted(parse_table(merged.table_html or "").cell_texts()):
+            problems.append(f"table {idx}: cell multiset not conserved")
     return problems

@@ -366,14 +366,17 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         method, request = job
         return getattr(predictor, method)(request)
 
-    if cfg.predictor_mode == "remote" and cfg.parallelism > 1 and len(jobs) > 1:
-        # Imported here so that a run without a pool does not load it.
-        from concurrent.futures import ThreadPoolExecutor
+    try:
+        if cfg.predictor_mode == "remote" and cfg.parallelism > 1 and len(jobs) > 1:
+            # Imported here so that a run without a pool does not load it.
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = dict(zip(jobs, pool.map(predict, jobs.values())))
-    else:
-        results = {job_key: predict(job) for job_key, job in jobs.items()}
+            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+                results = dict(zip(jobs, pool.map(predict, jobs.values())))
+        else:
+            results = {job_key: predict(job) for job_key, job in jobs.items()}
+    finally:
+        predictor.close()
 
     chunk_preds: dict[str, list[ChunkPrediction]] = {}
     for task in sorted(SUBTASKS, key=lambda t: t.name):
@@ -418,7 +421,10 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         summarizer = RemoteSummarizer(
             cfg.summarizer_url or "", timeout=cfg.backend_timeout, cap_chars=cfg.summary_cap_chars
         )
-    summarize_nodes(tree, summarizer, fallback=extractive)
+    try:
+        summarize_nodes(tree, summarizer, fallback=extractive)
+    finally:
+        summarizer.close()
     report.warnings.extend(tree.flags)
 
     report.counts = {

@@ -62,6 +62,9 @@ class Predictor(ABC):
     @abstractmethod
     def predict_table_truncation(self, req: TablePairCandidate) -> CellMergeJudgement: ...
 
+    def close(self) -> None:
+        """Release what the predictor holds open, such as connections."""
+
 
 def association_link_valid(src_type: ElementType, tgt_type: ElementType) -> bool:
     """The three permitted link shapes; anything else cannot be connected."""
@@ -108,6 +111,10 @@ class FallbackPredictor(Predictor):
 
     def predict_table_truncation(self, req: TablePairCandidate) -> CellMergeJudgement:
         return self._guard("predict_table_truncation", req)
+
+    def close(self) -> None:
+        self.primary.close()
+        self.fallback.close()
 
 
 from .rules import RulePredictor  # noqa: E402  (re-export)

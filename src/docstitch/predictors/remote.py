@@ -2,7 +2,9 @@
 
 One POST per request, body = the subtask's input blocks plus a task tag,
 response = the subtask's output schema.  Field names are part of the wire
-contract (see README).  ``reason`` fields are logged, never parsed.
+contract (see README).  ``reason`` fields are logged, never parsed.  Each
+predictor and each remote summarizer posts over its own ``Connections``,
+kept open until the run closes it.
 
 This module is the only reader of predictor replies.  They are validated
 before acceptance: malformed shapes are retried once and then raised as
@@ -17,7 +19,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Callable
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Optional
 
 from ..errors import BAD_FIELD, BackendUnavailable, MalformedResponse
 from ..filtering import TablePairCandidate, TextPairCandidate
@@ -37,35 +41,134 @@ TOKEN_ENV_VAR = "DOCSTITCH_BACKEND_TOKEN"
 RETRIES = 1
 
 
-def post_json(url: str, body: dict, timeout: float, service: str = "backend") -> object:
-    """POST ``body`` as JSON, with the bearer token from the environment,
-    and decode the JSON reply.  Each call opens its own connection, so
-    concurrent callers share no state.
+class Connections:
+    """Kept-alive HTTP connections to one backend URL, for the length of a run.
+
+    A request takes an idle connection or opens one, and hands it back only
+    once it has read the whole reply and the server did not ask to close.
+    So each connection serves one request at a time, and the pool holds no
+    more connections than there were requests in flight at once.  No
+    redirect is followed.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        self.url = url
+        self.timeout = timeout
+        self._idle: deque = deque()  # its appends and pops are thread-safe
+        # (new connection, request target, headers), found on the first POST.
+        self._route: Optional[tuple[Callable[[], Any], str, dict[str, str]]] = None
+
+    def post(self, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST ``data``; the reply's status and whole body."""
+        if self._route is None:
+            self._route = _route(self.url, self.timeout)  # threads racing here agree
+        connect, target, route_headers = self._route
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = connect(), False
+        while True:
+            response = None
+            try:
+                conn.request("POST", target, data, {**headers, **route_headers})
+                response = conn.getresponse()
+                payload = response.read()
+            except BaseException as exc:
+                conn.close()
+                # A server may close an idle connection at any time, so a
+                # reused one that fails before a status line arrives is resent
+                # once, on a fresh connection.  A timeout is never resent.
+                if reused and response is None and isinstance(exc, _STALE):
+                    conn, reused = connect(), False
+                    continue
+                raise
+            if response.will_close:
+                conn.close()
+            else:
+                self._idle.append(conn)
+            return response.status, payload
+
+    def close(self) -> None:
+        """Close the idle connections; called once no request is in flight."""
+        while self._idle:
+            self._idle.pop().close()
+
+
+# How a kept-alive connection fails when its server has closed it; this
+# includes http.client's RemoteDisconnected, a ConnectionResetError.
+_STALE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
+def _route(url: str, timeout: float) -> tuple[Callable[[], Any], str, dict[str, str]]:
+    """How to reach ``url`` as urllib would: a factory of new connections,
+    the request target, and the headers each request adds.
+
+    The proxy is the one ``getproxies()`` gives for the URL's scheme
+    (``HTTP_PROXY``, ``HTTPS_PROXY``) unless ``proxy_bypass()`` exempts the
+    host (``NO_PROXY``).  An ``http://`` URL is then requested in absolute
+    form from the proxy and an ``https://`` one tunnelled through it, with
+    the proxy URL's user and password as Basic ``Proxy-Authorization``.
+    HTTPS is verified by http.client's default context (``context=None``):
+    the system store, or ``SSL_CERT_FILE`` when it is set.
+    """
+    # Imported here, on the first POST, so that a run which never posts
+    # loads no HTTP, TLS or e-mail module.
+    import base64
+    import http.client
+    import urllib.request
+    from urllib.parse import unquote, urlsplit, urlunsplit
+
+    parts = urlsplit(url)
+    scheme = parts.scheme.lower()
+    if scheme not in ("http", "https") or not parts.netloc:
+        raise ValueError(f"not an HTTP(S) URL: {url!r}")
+    origin = parts.path or "/"
+    if parts.query:
+        origin += f"?{parts.query}"
+    connection = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc):
+        return partial(connection[scheme], parts.netloc, timeout=timeout), origin, {}
+
+    # The parser urllib's ProxyHandler reads a proxy URL with.
+    proxy_scheme, user, password, hostport = urllib.request._parse_proxy(proxy)
+    proxy_scheme = proxy_scheme or scheme
+    if proxy_scheme not in connection:
+        raise ValueError(f"unsupported proxy URL: {proxy!r}")
+    auth = {}
+    if user and password:
+        credentials = f"{unquote(user)}:{unquote(password)}".encode()
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
+    if scheme == "http":
+        absolute = urlunsplit(parts._replace(fragment=""))
+        return partial(connection[proxy_scheme], unquote(hostport), timeout=timeout), absolute, auth
+
+    def tunnel() -> Any:
+        conn = http.client.HTTPSConnection(unquote(hostport), timeout=timeout)
+        conn.set_tunnel(parts.netloc, headers=auth)
+        return conn
+
+    return tunnel, origin, {}
+
+
+def post_json(connections: Connections, body: dict, service: str = "backend") -> object:
+    """POST ``body`` as JSON over ``connections``, with the bearer token from
+    the environment, and decode the JSON reply.
 
     Raises BackendUnavailable when ``service`` is unreachable or answers
     other than 200, and MalformedResponse when the reply is not JSON.
     """
-    # Imported here, on the first call, so that a run which never posts
-    # loads no HTTP, TLS or e-mail module.
     import http.client
-    import urllib.error
-    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(TOKEN_ENV_VAR)
     if token:
         headers["Authorization"] = f"Bearer {token}"
     try:
-        # Encoding, building and sending all fail alike: a bad URL or a NaN
+        # Encoding, connecting and sending all fail alike: a bad URL or a NaN
         # in the body degrades this request, it does not end the run.
-        if not url.lower().startswith(("http://", "https://")):
-            raise ValueError(f"not an HTTP(S) URL: {url!r}")
         data = json.dumps(body, allow_nan=False).encode("utf-8")
-        request = urllib.request.Request(url, data=data, headers=headers)
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            status, payload = resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        raise BackendUnavailable(f"{service} returned HTTP {exc.code}") from exc
+        status, payload = connections.post(data, headers)
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise BackendUnavailable(f"{service} unreachable: {exc}") from exc
     if status != 200:
@@ -109,11 +212,13 @@ class RemotePredictor(Predictor):
     name = "remote"
 
     def __init__(self, url: str, timeout: float = 30.0):
-        self.url = url
-        self.timeout = timeout
+        self.connections = Connections(url, timeout)
 
     def _post(self, body: dict) -> object:
-        return post_json(self.url, body, self.timeout)
+        return post_json(self.connections, body)
+
+    def close(self) -> None:
+        self.connections.close()
 
     def _call(self, body: dict, parse: Callable[[object], object]) -> object:
         for attempt in range(RETRIES + 1):

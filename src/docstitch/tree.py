@@ -23,7 +23,7 @@ from .model import (
     VISUAL_TYPES,
     check_strings,
 )
-from .predictors.remote import post_json
+from .predictors import remote
 from .textrules import TextRules
 
 class NodeKind:
@@ -89,11 +89,15 @@ class DocTree:
 def build_tree(resolved: ResolvedDocument) -> DocTree:
     """Assemble the section hierarchy and attach every element to a node."""
     # A merged element spans its fragments' boxes; any other element has the
-    # one pair (page, bbox) holding its own bbox tuple.
-    fragment_boxes = {
-        record.src_idx: [(f["page"], f["bbox"]) for f in record.fragments]
-        for record in resolved.merge_log.records
-    }
+    # one pair (page, bbox) holding its own bbox tuple.  In a chain of table
+    # merges a fragment can itself be an earlier merge's survivor, which
+    # stands for all of that merge's boxes.
+    fragment_boxes: dict[int, list[tuple[int, Sequence[float]]]] = {}
+    for record in resolved.merge_log.records:
+        boxes = []
+        for f in record.fragments:
+            boxes.extend(fragment_boxes.pop(f["idx"], [(f["page"], f["bbox"])]))
+        fragment_boxes[record.src_idx] = boxes
 
     def add_boxes(node: DocNode, e: CanonicalElement) -> None:
         boxes = fragment_boxes.get(e.idx)
@@ -251,6 +255,9 @@ class Summarizer:
     def summarize(self, node_id: str, title_path: list[str], paragraphs: list[str]) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the summarizer holds open, such as connections."""
+
 
 class ExtractiveSummarizer(Summarizer):
     """Lead-sentence fallback: first N sentences, hard-capped in length."""
@@ -276,14 +283,13 @@ class RemoteSummarizer(Summarizer):
     name = "remote"
 
     def __init__(self, url: str, timeout: float = 30.0, cap_chars: int = 300):
-        self.url = url
-        self.timeout = timeout
+        self.connections = remote.Connections(url, timeout)
         self.cap_chars = cap_chars
 
     def summarize(self, node_id: str, title_path: list[str], paragraphs: list[str]) -> str:
         body = {"node_id": node_id, "title_path": title_path, "paragraphs": paragraphs}
         try:
-            data = post_json(self.url, body, self.timeout, service="summarizer")
+            data = remote.post_json(self.connections, body, service="summarizer")
         except MalformedResponse as exc:
             raise BackendUnavailable(f"summarizer {exc.message}") from exc
         if not isinstance(data, dict) or "summary" not in data:
@@ -296,6 +302,9 @@ class RemoteSummarizer(Summarizer):
         except BAD_FIELD as exc:
             raise bad_field(BackendUnavailable, "summarizer response", exc, "summary") from exc
         return summary[: self.cap_chars]
+
+    def close(self) -> None:
+        self.connections.close()
 
 
 def summarize_nodes(

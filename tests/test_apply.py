@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,9 @@ from docstitch.apply import (
     merge_text,
 )
 from docstitch.model import ElementType
+from docstitch.tables import parse_table
 from docstitch.textrules import join_fragments
+from docstitch.tree import NodeKind, build_tree
 
 from .helpers import stack_elements
 
@@ -136,6 +140,43 @@ def test_merge_tables_conservation_check(corpus):
     d = _table_doc()
     r = merge_tables(_resolved(d), [(0, 1, [0, 1, 0])])
     assert check_table_conservation(d, r) == []
+
+
+def _three_page_table():
+    # A fused cell in each joint: "con-" + "tinued" and "over-" + "flow".
+    pages = [
+        "<table><tr><th>k</th><th>v</th></tr><tr><td>a</td><td>con-</td></tr></table>",
+        "<table><tr><td>b</td><td>tinued</td></tr><tr><td>c</td><td>over-</td></tr></table>",
+        "<table><tr><td>d</td><td>flow</td></tr></table>",
+    ]
+    return stack_elements("t", [("table", "", page, {"table_html": html}) for page, html in enumerate(pages)])
+
+
+@pytest.mark.parametrize(
+    "pairs, records",
+    [([(0, 1), (1, 2)], [(0, [1]), (0, [2])]), ([(1, 2), (0, 1)], [(1, [2]), (0, [1])])],
+    ids=["in_order", "reversed"],
+)
+def test_merge_tables_follows_a_chain_over_three_pages(pairs, records):
+    d = _three_page_table()
+    r = merge_tables(_resolved(d), [(upper, lower, [0, 1]) for upper, lower in pairs])
+    assert list(r.by_idx) == [0]
+    assert r.flags == []
+    assert [(m.src_idx, m.absorbed) for m in r.merge_log.records] == records
+    assert r.merge_log.resolve(2) == 0
+    cells = parse_table(r.by_idx[0].table_html).cell_texts()
+    assert sorted(cells) == sorted(["k", "v", "a", "continued", "b", "c", "overflow", "d"])
+    assert check_table_conservation(d, r) == []
+    [node] = [n for n in build_tree(r).walk() if n.kind == NodeKind.VISUAL]
+    assert [(page, tuple(box)) for page, box in node.bboxes] == [(e.page, e.bbox) for e in d.elements]
+
+
+def test_table_conservation_catches_a_lost_chain_fragment():
+    d = _three_page_table()
+    r = merge_tables(_resolved(d), [(0, 1, [0, 1]), (1, 2, [0, 1])])
+    merged = r.by_idx[0]
+    r.by_idx[0] = replace(merged, table_html=merged.table_html.replace("<td>d</td>", "<td></td>"))
+    assert check_table_conservation(d, r) == ["table 0: cell multiset not conserved"]
 
 
 def test_assign_levels_stores_and_demotes():

@@ -13,6 +13,7 @@ import docstitch.pipeline
 import docstitch.predictors.remote
 import docstitch.predictors.rules
 import docstitch.tables
+from docstitch.apply import check_table_conservation
 from docstitch.errors import ConfigError
 from docstitch.model import ElementType, validate_document
 from docstitch.pipeline import PipelineConfig, run_pipeline
@@ -415,16 +416,17 @@ def test_zero_row_window_flags_each_pair_and_merges_nothing():
     assert result.report.counts["table_merges"] == 0
 
 
-def test_chained_table_pair_after_absorbed_upper_is_skipped():
+def test_chained_table_pair_follows_its_absorbed_upper():
     html = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>"
     doc = stack_elements(
         "chain", [("table", "", p, {"table_html": html}) for p in range(3)]
     )
     result = run_pipeline(doc, PipelineConfig())
     assert [(u, l) for u, l, _ in result.predictions.table_judgements] == [(0, 1), (1, 2)]
-    assert [e.idx for e in result.resolved.elements] == [0, 2]
-    assert result.resolved.merge_log.remap == {1: 0}
-    assert any(
-        w.startswith("TableMergeSkipped:1->2:") and w.endswith("not in document")
-        for w in result.report.warnings
-    )
+    assert [e.idx for e in result.resolved.elements] == [0]
+    assert result.resolved.merge_log.remap == {1: 0, 2: 0}
+    assert not any(w.startswith("TableMergeSkipped") for w in result.report.warnings)
+    assert result.report.counts["table_merges"] == 2
+    assert check_table_conservation(doc, result.resolved) == []
+    [table] = [n for n in result.tree.walk() if n.kind == NodeKind.VISUAL]
+    assert [page for page, _ in table.bboxes] == [0, 1, 2]
