@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Union
 
@@ -98,11 +97,9 @@ class Profile:
 @functools.cache
 def _builtin_profiles() -> dict[str, Profile]:
     profiles = {}
-    pkg = resources.files(__package__) / "profiles"
-    for entry in sorted(pkg.iterdir(), key=lambda p: p.name):
-        if entry.name.endswith(".json"):
-            profile = Profile.from_dict(json.loads(entry.read_text(encoding="utf-8")))
-            profiles[profile.name] = profile
+    for entry in sorted(Path(__file__).with_name("profiles").glob("*.json")):
+        profile = Profile.from_dict(json.loads(entry.read_text(encoding="utf-8")))
+        profiles[profile.name] = profile
     return profiles
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from html import escape
 from html.parser import HTMLParser
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ColumnMismatch, TableHtmlUnparseable
 from .model import CanonicalElement
@@ -19,89 +19,112 @@ from .model import CanonicalElement
 # The WHATWG HTML table model clamps colspan to 1000
 # (https://html.spec.whatwg.org/multipage/tables.html#attr-tdth-colspan).
 MAX_COLSPAN = 1000
-# The largest expanded grid parse_table builds: a 1000-row, 100-column
-# table, about 0.1 s and 20 MB to parse.  The largest table in the test
-# fixtures and the benchmark documents has 9 slots.
+# The largest expanded grid TableGrid builds, parsed or merged: a 1000-row,
+# 100-column table, about 0.1 s and 20 MB to parse.  The largest table in
+# the test fixtures and the benchmark documents has 9 slots.
 MAX_GRID_SLOTS = 100_000
 
 
-@dataclass(frozen=True)
-class LogicalCell:
+class LogicalCell(NamedTuple):
     text: str
     rowspan: int = 1
     colspan: int = 1
     header: bool = False
 
 
-class TableGrid:
-    """Rectangular expanded grid over a set of logical cells.
+# Tags that end a line inside a cell, so the words on either side do not
+# run together: <br> and the block elements, of this or a nested table.
+_LINE_BREAKS = frozenset(
+    "br p div li ul ol h1 h2 h3 h4 h5 h6 table tr td th hr blockquote pre dl dt dd".split()
+)
 
-    ``owners[r][c]`` gives the (row, col) origin of the logical cell covering
-    slot (r, c); ``cells[(r, c)]`` holds the logical cells keyed by origin.
+
+class TableGrid:
+    """A table's logical cells placed on a rectangular grid of slots.
+
+    ``rows[r]`` lists the cells that start in row r, left to right, as HTML
+    lists them.  Placement follows the WHATWG "forming a table" algorithm
+    (https://html.spec.whatwg.org/multipage/tables.html#forming-a-table):
+    each cell takes the first free slot of its row, and its rowspan is
+    clamped to the rows below.  A grid of more than ``MAX_GRID_SLOTS``
+    slots, overlapping cells and an uncovered slot are refused, in that
+    order.  ``owners[r][c]`` gives the (row, col) origin of the cell
+    covering slot (r, c), and ``cells[(r, c)]`` the cell at that origin.
+    ``n_cols`` is the least width, so a grid cut to no rows keeps its own.
     """
 
-    def __init__(self, cells: dict[tuple[int, int], LogicalCell], n_rows: int, n_cols: int):
-        self.cells = cells
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.owners: list[list[Optional[tuple[int, int]]]] = [
-            [None] * n_cols for _ in range(n_rows)
-        ]
-        for (r, c), cell in cells.items():
-            for dr in range(cell.rowspan):
-                for dc in range(cell.colspan):
-                    rr, cc = r + dr, c + dc
-                    if rr >= n_rows or cc >= n_cols:
-                        raise TableHtmlUnparseable(
-                            f"cell at ({r},{c}) spans outside the {n_rows}x{n_cols} grid"
-                        )
-                    if self.owners[rr][cc] is not None:
-                        raise TableHtmlUnparseable(
-                            f"overlapping cells at slot ({rr},{cc})"
-                        )
-                    self.owners[rr][cc] = (r, c)
-        for r in range(n_rows):
-            for c in range(n_cols):
-                if self.owners[r][c] is None:
-                    raise TableHtmlUnparseable(f"uncovered slot ({r},{c}): ragged table")
-
-    def slot_text(self, r: int, c: int) -> str:
-        return self.cells[self.owners[r][c]].text  # type: ignore[index]
+    def __init__(self, rows: list[list[LogicalCell]], n_cols: int = 0):
+        n_rows = len(rows)
+        self.rows: list[list[LogicalCell]] = []
+        self.cells: dict[tuple[int, int], LogicalCell] = {}
+        self.owners: list[list[Optional[tuple[int, int]]]] = [[] for _ in range(n_rows)]
+        overlap: Optional[tuple[int, int]] = None
+        slots = 0
+        for r, row in enumerate(rows):
+            line = self.owners[r]
+            placed = []
+            col = 0
+            for cell in row:
+                while col < len(line) and line[col] is not None:
+                    col += 1
+                if cell.rowspan > n_rows - r:
+                    cell = cell._replace(rowspan=n_rows - r)
+                end = col + cell.colspan
+                n_cols = max(n_cols, end)
+                # A rectangular grid covers each of its rows x columns slots
+                # once; counting both refuses a ragged or overlapping table
+                # before it allocates more than the cap.
+                slots += cell.rowspan * cell.colspan
+                if slots > MAX_GRID_SLOTS or n_rows * n_cols > MAX_GRID_SLOTS:
+                    raise TableHtmlUnparseable(f"table grid exceeds {MAX_GRID_SLOTS} slots")
+                origin = (r, col)
+                for rr in range(r, r + cell.rowspan):
+                    below = self.owners[rr]
+                    below.extend([None] * (col - len(below)))
+                    if overlap is None and any(below[col:end]):
+                        overlap = (rr, next(c for c in range(col, end) if below[c]))
+                    below[col:end] = [origin] * cell.colspan
+                self.cells[origin] = cell
+                placed.append(cell)
+                col = end
+            self.rows.append(placed)
+        if overlap is not None:
+            raise TableHtmlUnparseable(f"overlapping cells at slot ({overlap[0]},{overlap[1]})")
+        for r, line in enumerate(self.owners):
+            line.extend([None] * (n_cols - len(line)))
+            if None in line:
+                raise TableHtmlUnparseable(f"uncovered slot ({r},{line.index(None)}): ragged table")
+        self.n_rows, self.n_cols = n_rows, n_cols
 
     def row_text(self, r: int) -> list[str]:
         """Expanded view of one row; covered slots repeat their owner's text."""
-        return [self.slot_text(r, c) for c in range(self.n_cols)]
+        return [self.cells[origin].text for origin in self.owners[r]]  # type: ignore[index]
 
     def cell_texts(self) -> list[str]:
         """All logical cell texts in grid order (for conservation checks)."""
-        return [self.cells[key].text for key in sorted(self.cells)]
+        return [cell.text for row in self.rows for cell in row]
 
     def row_is_simple(self, r: int) -> bool:
         """True when no logical cell crosses the horizontal line above or below row r."""
-        for c in range(self.n_cols):
-            orow, ocol = self.owners[r][c]  # type: ignore[misc]
-            cell = self.cells[(orow, ocol)]
-            if orow != r or cell.rowspan != 1:
-                return False
-        return True
+        return all(
+            origin[0] == r and self.cells[origin].rowspan == 1  # type: ignore[index]
+            for origin in self.owners[r]
+        )
 
     def slice_rows(self, start: int, stop: int) -> TableGrid:
         """Rows [start, stop) as a new grid; spans are clipped at the cut lines."""
         if not (0 <= start <= stop <= self.n_rows):
             raise ValueError(f"bad row slice [{start}, {stop})")
-        new_cells: dict[tuple[int, int], LogicalCell] = {}
-        for r in range(start, stop):
-            for c in range(self.n_cols):
-                orow, ocol = self.owners[r][c]  # type: ignore[misc]
-                cell = self.cells[(orow, ocol)]
-                origin_r = max(orow, start) - start
-                if (origin_r, ocol) in new_cells:
-                    continue
-                span = min(orow + cell.rowspan, stop) - start - origin_r
-                if span != cell.rowspan:  # clipped at a cut line
-                    cell = LogicalCell(cell.text, span, cell.colspan, cell.header)
-                new_cells[(origin_r, ocol)] = cell
-        return TableGrid(new_cells, stop - start, self.n_cols)
+        if start == stop:
+            return TableGrid([], self.n_cols)
+        # The cells covering the first row start there; placement clips the bottom.
+        top = []
+        for origin in dict.fromkeys(self.owners[start]):
+            cell = self.cells[origin]  # type: ignore[index]
+            if origin[0] < start:  # type: ignore[index]
+                cell = cell._replace(rowspan=cell.rowspan - start + origin[0])  # type: ignore[index]
+            top.append(cell)
+        return TableGrid([top] + self.rows[start + 1 : stop], self.n_cols)
 
     def row_window(self, n: int, tail: bool) -> TableGrid:
         """The first (tail=False) or last (tail=True) n rows."""
@@ -109,40 +132,34 @@ class TableGrid:
         return self.slice_rows(self.n_rows - k, self.n_rows) if tail else self.slice_rows(0, k)
 
     def to_html(self, fragment: bool = False) -> str:
-        rows = []
-        for r in range(self.n_rows):
-            parts = ["<tr>"]
-            for c in range(self.n_cols):
-                origin = self.owners[r][c]
-                if origin != (r, c):
-                    continue
-                cell = self.cells[(r, c)]
-                tag = "th" if cell.header else "td"
-                attrs = ""
-                if cell.rowspan > 1:
-                    attrs += f' rowspan="{cell.rowspan}"'
-                if cell.colspan > 1:
-                    attrs += f' colspan="{cell.colspan}"'
-                parts.append(f"<{tag}{attrs}>{escape(cell.text)}</{tag}>")
-            parts.append("</tr>")
-            rows.append("".join(parts))
-        body = "".join(rows)
+        body = "".join("<tr>" + "".join(map(_cell_html, row)) + "</tr>" for row in self.rows)
         return body if fragment else f"<table>{body}</table>"
 
 
+def _cell_html(cell: LogicalCell) -> str:
+    tag = "th" if cell.header else "td"
+    attrs = ""
+    if cell.rowspan > 1:
+        attrs += f' rowspan="{cell.rowspan}"'
+    if cell.colspan > 1:
+        attrs += f' colspan="{cell.colspan}"'
+    return f"<{tag}{attrs}>{escape(cell.text)}</{tag}>"
+
+
 class _TableHtmlParser(HTMLParser):
-    """Collects raw rows of (text, rowspan, colspan, header) tuples."""
+    """Collects raw rows of LogicalCells; html.parser lowercases tag names."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.raw_rows: list[list[tuple[str, int, int, bool]]] = []
-        self._row: Optional[list[tuple[str, int, int, bool]]] = None
+        self.raw_rows: list[list[LogicalCell]] = []
+        self._row: Optional[list[LogicalCell]] = None
         self._cell: Optional[list[str]] = None
         self._cell_attrs: tuple[int, int, bool] = (1, 1, False)
         self._table_depth = 0
 
     def handle_starttag(self, tag: str, attrs) -> None:
-        tag = tag.lower()
+        if tag in _LINE_BREAKS and self._cell is not None:
+            self._cell.append("\n")
         if tag == "table":
             self._table_depth += 1
             return
@@ -163,11 +180,10 @@ class _TableHtmlParser(HTMLParser):
                 rowspan, colspan = 1, 1
             self._cell = []
             self._cell_attrs = (rowspan, colspan, tag == "th")
-        elif tag == "br" and self._cell is not None:
-            self._cell.append("\n")
 
     def handle_endtag(self, tag: str) -> None:
-        tag = tag.lower()
+        if tag in _LINE_BREAKS and self._cell is not None:
+            self._cell.append("\n")
         if tag == "table":
             if self._table_depth == 1:
                 self._close_row()
@@ -187,9 +203,8 @@ class _TableHtmlParser(HTMLParser):
         if self._cell is None:
             return
         text = " ".join("".join(self._cell).split())
-        rowspan, colspan, header = self._cell_attrs
         assert self._row is not None
-        self._row.append((text, rowspan, colspan, header))
+        self._row.append(LogicalCell(text, *self._cell_attrs))
         self._cell = None
 
     def _close_row(self) -> None:
@@ -217,41 +232,10 @@ def parse_table(html: str) -> TableGrid:
         parser.close()
     except Exception as exc:  # html.parser raises rarely, but be safe
         raise TableHtmlUnparseable(f"html parse failure: {exc}") from exc
-    raw_rows = [r for r in parser.raw_rows if r]
-    if not raw_rows:
+    rows = [row for row in parser.raw_rows if row]
+    if not rows:
         raise TableHtmlUnparseable("no table rows found")
-
-    n_rows = len(raw_rows)
-    cells: dict[tuple[int, int], LogicalCell] = {}
-    # occupancy[r] is the set of columns already covered in row r by spans
-    occupied: list[set[int]] = [set() for _ in range(n_rows)]
-    n_cols = 0
-    slots = 0
-    for r, row in enumerate(raw_rows):
-        col = 0
-        for text_, rowspan, colspan, header in row:
-            while col in occupied[r]:
-                col += 1
-            rowspan = min(rowspan, n_rows - r)
-            # A rectangular grid covers each of its rows x columns slots
-            # once; counting both refuses a ragged or overlapping table
-            # before it allocates more than the cap.
-            slots += rowspan * colspan
-            if max(slots, n_rows * (col + colspan)) > MAX_GRID_SLOTS:
-                raise TableHtmlUnparseable(f"table grid exceeds {MAX_GRID_SLOTS} slots")
-            cells[(r, col)] = LogicalCell(text_, rowspan, colspan, header)
-            for dr in range(rowspan):
-                for dc in range(colspan):
-                    occupied[r + dr].add(col + dc)
-            col += colspan
-        n_cols = max(n_cols, max(occupied[r]) + 1 if occupied[r] else 0)
-
-    try:
-        return TableGrid(cells, n_rows, n_cols)
-    except TableHtmlUnparseable:
-        raise
-    except Exception as exc:
-        raise TableHtmlUnparseable(str(exc)) from exc
+    return TableGrid(rows)
 
 
 class TableGrids:
@@ -317,8 +301,7 @@ def merge_grids(
     fused_log: list[dict] = []
 
     if lower.n_rows == 0 or not fused_cols:
-        grid = _stack(upper, lower)
-        return TableMergeOutcome(grid, dropped_header, fused_log)
+        return TableMergeOutcome(TableGrid(upper.rows + lower.rows), dropped_header, fused_log)
 
     boundary_u = upper.n_rows - 1
     if not upper.row_is_simple(boundary_u) or not lower.row_is_simple(0):
@@ -326,39 +309,20 @@ def merge_grids(
             "cell fusion requires span-free boundary rows on both fragments"
         )
 
-    upper_last = [upper.cells[upper.owners[boundary_u][c]] for c in range(upper.n_cols)]  # type: ignore[index]
-    lower_first = [lower.cells[lower.owners[0][c]] for c in range(lower.n_cols)]  # type: ignore[index]
-
-    cells = {origin: cell for origin, cell in upper.cells.items() if origin[0] < boundary_u}
-
+    upper_last = [upper.cells[origin] for origin in upper.owners[boundary_u]]  # type: ignore[index]
+    lower_first = [lower.cells[origin] for origin in lower.owners[0]]  # type: ignore[index]
     all_fused = len(fused_cols) == upper.n_cols
-    for j in range(upper.n_cols):
-        u_text = upper_last[j].text
-        l_text = lower_first[j].text
-        if j in set(fused_cols):
-            joined = join(u_text, l_text)
-            fused_log.append({"column": j, "upper": u_text, "lower": l_text, "joined": joined})
-            span = 1 if all_fused else 2
-            cells[(boundary_u, j)] = LogicalCell(joined, span, 1, upper_last[j].header)
+    top: list[LogicalCell] = []
+    bottom: list[LogicalCell] = []
+    for j, (u, lo) in enumerate(zip(upper_last, lower_first)):
+        if judgement[j] == 1:
+            joined = join(u.text, lo.text)
+            fused_log.append({"column": j, "upper": u.text, "lower": lo.text, "joined": joined})
+            top.append(LogicalCell(joined, 1 if all_fused else 2, 1, u.header))
         else:
-            cells[(boundary_u, j)] = LogicalCell(u_text, 1, 1, upper_last[j].header)
-            if not all_fused:
-                cells[(boundary_u + 1, j)] = LogicalCell(l_text, 1, 1, lower_first[j].header)
+            top.append(LogicalCell(u.text, 1, 1, u.header))
+            bottom.append(LogicalCell(lo.text, 1, 1, lo.header))
 
-    boundary_rows = 1 if all_fused else 2
-    offset = boundary_u + boundary_rows
-    for (r, c), cell in lower.cells.items():
-        if r == 0:
-            continue
-        cells[(r - 1 + offset, c)] = cell
-
-    n_rows = boundary_u + boundary_rows + (lower.n_rows - 1)
-    grid = TableGrid(cells, n_rows, upper.n_cols)
+    boundary = [top, bottom] if bottom else [top]
+    grid = TableGrid(upper.rows[:boundary_u] + boundary + lower.rows[1:])
     return TableMergeOutcome(grid, dropped_header, fused_log)
-
-
-def _stack(upper: TableGrid, lower: TableGrid) -> TableGrid:
-    cells = dict(upper.cells)
-    for (r, c), cell in lower.cells.items():
-        cells[(r + upper.n_rows, c)] = cell
-    return TableGrid(cells, upper.n_rows + lower.n_rows, upper.n_cols)

@@ -74,6 +74,13 @@ def test_merge_text_non_adjacent_pair_skipped_and_flagged():
     assert any(f.startswith("PairNotAdjacent") for f in r.flags)
 
 
+def test_merge_text_second_pair_on_a_fragment_is_flagged_duplicated():
+    d = stack_elements("t", [("text", "a", 0), ("text", "b", 0)])
+    r = merge_text(_resolved(d), [(0, 1), (0, 1)])
+    assert [e.content for e in r.elements] == ["a b"]
+    assert r.flags == ["PairDuplicated:0->1"]
+
+
 def test_merge_text_keeps_src_geometry_and_idx():
     d = stack_elements("t", [("text", "left", 0), ("text", "right", 1)])
     src_bbox = d.elements[0].bbox
@@ -132,6 +139,40 @@ def test_merge_tables_column_mismatch_flagged():
     assert len(r.elements) == 2
     assert r.merge_log.records == []
     assert r.flags == ["TableMergeSkipped:0->1:column counts differ: 1 vs 2"]
+
+
+@pytest.mark.parametrize(
+    "pair, flag",
+    [
+        ((0, 7), "TableMergeSkipped:0->7:table pair (0, 7) not in document"),
+        ((0, 2), "TableMergeSkipped:0->2:merge_tables endpoints must both be tables"),
+    ],
+)
+def test_merge_tables_skips_a_missing_or_non_table_endpoint(pair, flag):
+    d = stack_elements("t", [("table", "", 0, {"table_html": U3}), ("table", "", 1, {"table_html": L3}),
+                             ("text", "after", 1)])
+    r = merge_tables(_resolved(d), [(*pair, [0, 0, 0])])
+    assert (len(r.elements), r.merge_log.records, r.flags) == (3, [], [flag])
+
+
+def test_merge_past_the_slot_cap_is_skipped_and_conserves():
+    # Two 501x100 tables hold 50,100 slots each; merged they would hold
+    # 100,200, a table the parser refuses.
+    def table(tag: str) -> str:
+        return "<table>" + "".join(
+            "<tr>" + f"<td>{tag}{r}</td>" * 100 + "</tr>" for r in range(501)
+        ) + "</table>"
+
+    d = stack_elements("t", [("table", "", 0, {"table_html": table("u")}),
+                             ("table", "", 1, {"table_html": table("l")}),
+                             ("table", "", 2, {"table_html": table("m")})])
+    r = merge_tables(_resolved(d), [(0, 1, [0] * 100), (1, 2, [0] * 100)])
+    assert r.merge_log.records == []
+    assert r.flags == [
+        "TableMergeSkipped:0->1:table grid exceeds 100000 slots",
+        "TableMergeSkipped:1->2:table grid exceeds 100000 slots",
+    ]
+    assert check_table_conservation(d, r) == []
 
 
 def test_merge_tables_conservation_check(corpus):
@@ -231,6 +272,16 @@ def test_attach_links_type_violation_dropped():
     r = attach_links(_resolved(d), [(1, 0)])
     assert r.caption_links == {}
     assert any(f.startswith("TypeRuleViolation") for f in r.flags)
+
+
+def test_attach_links_keeps_the_first_of_two_targets():
+    d = stack_elements(
+        "t",
+        [("title", "A", 0), ("image", "", 0, {"asset_ref": "a.png"}), ("title", "B", 0)],
+    )
+    r = attach_links(_resolved(d), [(1, 0), (1, 0), (1, 2)])
+    assert r.section_links == {1: 0}
+    assert r.flags == ["LinkConflict:1->2 (kept 0)"]
 
 
 def test_attach_links_remaps_absorbed_idx():

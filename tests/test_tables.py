@@ -173,3 +173,59 @@ def test_fusion_rejects_spans_crossing_the_boundary():
     # all-zero concatenation is still fine
     outcome = merge_grids(upper, lower, [0, 0], join_fragments)
     assert outcome.grid.n_rows == 3
+
+
+@pytest.mark.parametrize(
+    "cell, text",
+    [
+        ("<p>North</p><p>South</p>", "North South"),
+        ("<div>12</div><div>34</div>", "12 34"),
+        ("Total<table><tr><td>12</td><td>34</td></tr></table>", "Total 12 34"),
+        ("a<br>b<br/>c", "a b c"),
+        ("<span>Net</span><b>work</b> <sup>1</sup><a href='#'>x</a>", "Network 1x"),
+    ],
+)
+def test_block_tags_in_a_cell_read_as_a_space_and_inline_tags_join(cell, text):
+    grid = parse_table(f"<table><tr><td>{cell}</td><td>z</td></tr></table>")
+    assert grid.row_text(0) == [text, "z"]
+
+
+@pytest.mark.parametrize("attrs", ['rowspan="two"', 'colspan="1.5"', 'rowspan="" colspan="x"'])
+def test_non_integer_span_reads_as_one(attrs):
+    grid = parse_table(f"<table><tr><td {attrs}>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>")
+    assert [grid.row_text(r) for r in range(2)] == [["a", "b"], ["c", "d"]]
+
+
+def test_cell_without_a_row_opens_one():
+    grid = parse_table("<table><td>a</td><td>b</td></table>")
+    assert (grid.n_rows, grid.row_text(0)) == (1, ["a", "b"])
+
+
+def test_overlap_is_named_before_a_ragged_slot():
+    # Row 1's wide cell takes slots (1,1) and (1,2), but the tall cell of
+    # row 0 already holds (1,2); row 2 also leaves slot (2,1) uncovered.
+    html = (
+        '<table><tr><td>a</td><td>b</td><td rowspan="3">t</td></tr>'
+        '<tr><td>c</td><td colspan="2">d</td></tr><tr><td>e</td></tr></table>'
+    )
+    with pytest.raises(TableHtmlUnparseable, match=r"^overlapping cells at slot \(1,2\)$"):
+        parse_table(html)
+    html = '<table><tr><td>a</td><td rowspan="2">b</td></tr><tr><td colspan="2">c</td></tr></table>'
+    with pytest.raises(TableHtmlUnparseable, match=r"^overlapping cells at slot \(1,1\)$"):
+        parse_table(html)
+
+
+def test_slices_and_merges_keep_the_parsed_rows():
+    grid = parse_table(
+        '<table><tr><th colspan="2">h</th><td rowspan="3">t</td></tr>'
+        '<tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>'
+    )
+    middle = grid.slice_rows(1, 3)
+    assert middle.to_html() == (
+        '<table><tr><td rowspan="2">a</td><td>b</td><td rowspan="2">t</td></tr>'
+        "<tr><td>c</td></tr></table>"
+    )
+    assert grid.row_window(0, tail=True).n_cols == 3  # no rows, still three columns
+    stacked = merge_grids(grid, middle, [0, 0, 0], join_fragments).grid
+    assert stacked.to_html() == grid.to_html()[:-len("</table>")] + middle.to_html(fragment=True) + "</table>"
+    assert stacked.cell_texts() == grid.cell_texts() + middle.cell_texts()

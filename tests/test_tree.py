@@ -92,6 +92,17 @@ def test_unlinked_visual_falls_back_to_current_section():
     assert any(c.kind == NodeKind.VISUAL for c in section.children)
 
 
+def test_visual_linked_to_a_non_section_falls_back_with_a_flag():
+    d = stack_elements(
+        "t",
+        [("title", "A", 0), ("text", "body", 0), ("image", "", 0, {"asset_ref": "x.png"})],
+    )
+    tree = build_tree(_resolved_with_levels(d, {0: 1}, section_links={2: 1}))
+    section = tree.root.children[0]
+    assert [c.anchor for c in section.children if c.kind == NodeKind.VISUAL] == [2]
+    assert tree.flags == ["VisualLinkUnplaced:2->1"]
+
+
 def test_element_completeness(corpus):
     cfg = PipelineConfig()
     for doc in corpus.values():

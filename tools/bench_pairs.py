@@ -9,7 +9,12 @@ JSON file::
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload long_report \\
         --workload remote_report --seed 1 --pairs 10 --out BENCH.json
 
-Each checkout runs its own ``perfbench/`` against its own ``src/``.  The run
+Each checkout runs its own ``perfbench/`` against its own ``src/``.  Every
+run works in a fresh copy of its checkout without ``__pycache__`` and with
+``PYTHONDONTWRITEBYTECODE=1``, so each cold start compiles ``src/`` as it
+does in a new checkout, whatever bytecode either checkout holds.  (A
+``PYTHONPYCACHEPREFIX`` would hide the standard library's bytecode too,
+and compiling it would dominate ``setup_s``.)  The run
 length and the end-to-end metrics with their direction come from the
 change checkout's ``BENCHMARK.json``, so both sides run the benchmark's
 length.  For each workload and metric the summary gives both sides'
@@ -27,20 +32,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
+NOT_COPIED = ("__pycache__", ".git", ".perfbench_work", ".perfbench_out", ".hypothesis",
+              ".pytest_cache")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    with tempfile.TemporaryDirectory(prefix="bench_pairs.") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(*NOT_COPIED))
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=copy, env={**os.environ, **RUN_ENV}, capture_output=True, text=True,
+            timeout=RUN_TIMEOUT_S,
+        )
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -103,7 +118,13 @@ def main() -> int:
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
-    report: dict = {"seed": args.seed, "seconds": seconds, "workloads": {}}
+    report: dict = {
+        "seed": args.seed,
+        "seconds": seconds,
+        "env": RUN_ENV,
+        "checkout": f"fresh copy per run, without {', '.join(NOT_COPIED)}",
+        "workloads": {},
+    }
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
