@@ -54,10 +54,12 @@ class MergeLog:
     remap: dict[int, int] = field(default_factory=dict)
 
     def resolve(self, idx: int) -> int:
-        """Follow absorbed->surviving mappings (transitively) for late references."""
-        seen = set()
-        while idx in self.remap and idx not in seen:
-            seen.add(idx)
+        """Follow absorbed->surviving mappings (transitively) for late references.
+
+        Each mapping points from a removed element to one that was still in
+        the document when it was removed, so a chain always ends.
+        """
+        while idx in self.remap:
             idx = self.remap[idx]
         return idx
 
@@ -87,7 +89,6 @@ class ResolvedDocument:
     caption_links: dict[int, int] = field(default_factory=dict)  # caption idx -> visual idx
     section_links: dict[int, int] = field(default_factory=dict)  # visual idx -> title idx
     merge_log: MergeLog = field(default_factory=MergeLog)
-    demoted: list[int] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
 
     @classmethod
@@ -164,10 +165,10 @@ def merge_tables(
     that an earlier pair absorbed is found in the table that absorbed it, so
     a table split over three pages becomes one table (two merge records).
 
-    A pair that cannot be fused (an endpoint missing or not a table, a
-    judgement of the wrong width, unparseable HTML) is skipped with a
-    TableMergeSkipped flag.  ``grids`` reuses tables already parsed by the
-    table filter.
+    A pair that cannot be fused (an endpoint missing or not a table, a lower
+    table that already holds the upper one, a judgement of the wrong width,
+    unparseable HTML) is skipped with a TableMergeSkipped flag.  ``grids``
+    reuses tables already parsed by the table filter.
     """
     grids = grids or TableGrids()
     by_idx = resolved.by_idx
@@ -181,6 +182,8 @@ def merge_tables(
                 raise ColumnMismatch(f"table pair ({upper_idx}, {lower_idx}) not in document")
             if upper.etype is not ElementType.TABLE or lower.etype is not ElementType.TABLE:
                 raise ColumnMismatch("merge_tables endpoints must both be tables")
+            if upper.idx == lower.idx:
+                raise ColumnMismatch(f"table {lower_idx} already holds table {upper_idx}")
             outcome = merge_grids(grids.grid(upper), grids.grid(lower), columns, join_fragments)
         except (ColumnMismatch, TableHtmlUnparseable) as exc:
             resolved.flags.append(f"TableMergeSkipped:{upper_idx}->{lower_idx}:{exc.message}")
@@ -230,7 +233,6 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
             level = 1
         if level == -1:
             by_idx[idx] = by_idx[idx].with_type(ElementType.TEXT)
-            resolved.demoted.append(idx)
             continue
         stored[idx] = level
         prev_level = level

@@ -21,7 +21,7 @@ from .exporters import export_json, export_markdown, tree_from_dict, write_json
 from .ingest import normalize_elements
 from .jsonio import dumps_pretty, read_json
 from .model import CanonicalDocument, int_key, validate_document
-from .pipeline import PipelineConfig, plan_subtasks, run_pipeline
+from .pipeline import PipelineConfig, plan_subtasks, run_pipeline, thread_map
 
 BACKEND_URL_ENV_VAR = "DOCSTITCH_BACKEND_URL"
 
@@ -226,14 +226,7 @@ def cmd_process(args: argparse.Namespace) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if cfg.jobs > 1 and len(inputs) > 1:
-            # Imported here so that a run without a pool does not load it.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(job, range(len(inputs))))
-        else:
-            results = [job(i) for i in range(len(inputs))]
+        results = thread_map(job, range(len(inputs)), cfg.jobs)
     finally:
         if collecting:
             gc.enable()

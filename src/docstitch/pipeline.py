@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from . import apply as apply_mod
 from .apply import ResolvedDocument
@@ -331,6 +331,19 @@ def plan_subtasks(doc: CanonicalDocument, cfg: PipelineConfig) -> dict[str, Chun
     }
 
 
+def thread_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
+    """``[fn(item) for item in items]``, run on up to ``workers`` threads when
+    there is more than one worker and more than one item; the results keep
+    the order of ``items``."""
+    if workers > 1 and len(items) > 1:
+        # Imported here so that a run without a pool does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report = RunReport(doc_id=doc.doc_id)
     validation = validate_document(doc)
@@ -366,15 +379,9 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         method, request = job
         return getattr(predictor, method)(request)
 
+    workers = cfg.parallelism if cfg.predictor_mode == "remote" else 1
     try:
-        if cfg.predictor_mode == "remote" and cfg.parallelism > 1 and len(jobs) > 1:
-            # Imported here so that a run without a pool does not load it.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-                results = dict(zip(jobs, pool.map(predict, jobs.values())))
-        else:
-            results = {job_key: predict(job) for job_key, job in jobs.items()}
+        results = dict(zip(jobs, thread_map(predict, list(jobs.values()), workers)))
     finally:
         predictor.close()
 

@@ -187,24 +187,18 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
     return tree
 
 
-def chunk_nodes(
-    tree: DocTree,
-    threshold: int,
-    forbidden_boundaries: Optional[set[tuple[int, int]]] = None,
-) -> DocTree:
+def chunk_nodes(tree: DocTree, threshold: int) -> DocTree:
     """Split oversized section bodies into subnodes at paragraph boundaries.
 
     A subnode closes at the first paragraph boundary after the accumulated
-    text length reaches the threshold.  Boundaries listed in
-    ``forbidden_boundaries`` (pairs of consecutive element idx that are
-    truncation joins) are never split points; the split defers to the next
-    allowed boundary.  Paragraph order and total content are untouched.
+    text length reaches the threshold.  A truncation join is already one
+    merged element here, so no split falls inside it.  Paragraph order and
+    total content are untouched.
     A subnode's boxes are its elements' boxes, every fragment's box for a
     merged element.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    forbidden = forbidden_boundaries or set()
 
     for node in tree.walk():
         if node.kind != NodeKind.SECTION or len(node.body) < 2:
@@ -212,17 +206,13 @@ def chunk_nodes(
         groups: list[list[CanonicalElement]] = []
         current: list[CanonicalElement] = []
         acc = 0
-        for i, para in enumerate(node.body):
-            current.append(para)
-            acc += len(para.content)
-            last = i == len(node.body) - 1
-            if last:
-                break
-            if acc >= threshold and (para.idx, node.body[i + 1].idx) not in forbidden:
+        for para in node.body:
+            if acc >= threshold:
                 groups.append(current)
                 current, acc = [], 0
-        if current:
-            groups.append(current)
+            current.append(para)
+            acc += len(para.content)
+        groups.append(current)
         if len(groups) < 2:
             continue
         subnodes = []

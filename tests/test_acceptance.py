@@ -13,7 +13,13 @@ import time
 
 import pytest
 
-from docstitch.apply import check_table_conservation, check_text_conservation
+from docstitch.apply import (
+    ResolvedDocument,
+    assign_levels,
+    check_table_conservation,
+    check_text_conservation,
+    merge_text,
+)
 from docstitch.chunking import (
     ChunkPlanConfig,
     ChunkPrediction,
@@ -31,11 +37,12 @@ from docstitch.evaluation import (
     tree_edit_distance,
 )
 from docstitch.exporters import export_json, export_markdown
-from docstitch.model import CanonicalElement, CoordUnit, ElementType
+from docstitch.model import ElementType
 from docstitch.pipeline import PipelineConfig, run_pipeline
-from docstitch.tree import DocNode, DocTree, NodeKind, chunk_nodes
+from docstitch.tree import NodeKind, build_tree, chunk_nodes
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR, load_corpus_doc
+from .helpers import stack_elements
 from .mock_backend import MockBackend
 from .oracles import (
     all_trees_up_to,
@@ -303,52 +310,38 @@ def test_criterion_7_end_to_end_golden_run(tmp_path):
 
 
 def test_criterion_8_node_chunking_contract():
+    # Joins are merged before the tree is built, as run_pipeline does, so
+    # chunk_nodes sees each join as one element and can never split it.
     rng = random.Random(11)
     threshold = 500
     for _ in range(100):
         n_paras = rng.randint(2, 20)
         lengths = [rng.randint(20, 400) for _ in range(n_paras)]
-        paras = [
-            CanonicalElement(
-                idx=i, etype=ElementType.TEXT, content="x" * lengths[i],
-                page=0, bbox=(0.0, float(i), 10.0, float(i) + 1.0),
-            )
-            for i in range(n_paras)
-        ]
-        joins = {
-            (i, i + 1) for i in range(n_paras - 1) if rng.random() < 0.3
-        }
-        section = DocNode(
-            node_id="sec0", kind=NodeKind.SECTION, level=1, anchor=-1,
-            title_text="S", title_path=["S"], body=list(paras),
+        source = stack_elements(
+            "gen", [("title", "S", 0)] + [("text", "x" * n, 1 + i // 5) for i, n in enumerate(lengths)]
         )
-        root = DocNode(node_id="root", kind=NodeKind.ROOT, level=0, anchor=-1)
-        root.children.append(section)
-        tree = DocTree(doc_id="gen", coord_unit=CoordUnit.PIXEL, root=root)
-        chunk_nodes(tree, threshold, forbidden_boundaries=joins)
+        joins = [(i, i + 1) for i in range(1, n_paras) if rng.random() < 0.3]
+        resolved = merge_text(ResolvedDocument.from_document(source), joins)
+        assert check_text_conservation(source, resolved) == []
+        tree = chunk_nodes(build_tree(assign_levels(resolved, {0: 1})), threshold)
+        [section] = tree.root.children
+        paras = [e for e in resolved.elements if e.etype is ElementType.TEXT]
 
         if section.children:
             subs = section.children
             # order and total content preserved
-            flat = [e.idx for s in subs for e in s.body]
-            assert flat == list(range(n_paras))
-            assert sum(len(e.content) for s in subs for e in s.body) == sum(lengths)
+            assert [e for s in subs for e in s.body] == paras
             # no subnode boundary on a truncation join
-            for s1, s2 in zip(subs, subs[1:]):
-                boundary = (s1.body[-1].idx, s2.body[0].idx)
-                assert boundary not in joins
+            sub_of = {e.idx: k for k, s in enumerate(subs) for e in s.body}
+            for i, j in joins:
+                assert sub_of[resolved.merge_log.resolve(i)] == sub_of[resolved.merge_log.resolve(j)]
             # every subnode except possibly the last meets the threshold rule
             for s in subs[:-1]:
                 assert sum(len(e.content) for e in s.body) >= threshold
         else:
-            # never split: either too short overall, or every admissible
-            # boundary after reaching the threshold is forbidden
-            total = sum(lengths)
-            if total >= threshold:
-                acc = 0
-                for i, ln in enumerate(lengths[:-1]):
-                    acc += ln
-                    assert acc < threshold or (i, i + 1) in joins
+            # never split: the text before the last paragraph is too short
+            assert section.body == paras
+            assert sum(len(e.content) for e in paras[:-1]) < threshold
     _report(8, "100 generated sections: joins never split, order and content preserved")
 
 

@@ -220,6 +220,18 @@ def test_table_conservation_catches_a_lost_chain_fragment():
     assert check_table_conservation(d, r) == ["table 0: cell multiset not conserved"]
 
 
+def test_merge_tables_skips_a_pair_whose_lower_table_holds_the_upper():
+    row = "<table><tr><td>{}</td><td>{}</td></tr></table>"
+    d = stack_elements("t", [("table", "", 0, {"table_html": row.format("a", "b")}),
+                             ("table", "", 1, {"table_html": row.format("c", "d")})])
+    r = merge_tables(_resolved(d), [(0, 1, [0, 0]), (1, 0, [0, 0])])
+    assert list(r.by_idx) == [0]
+    assert r.merge_log.remap == {1: 0}
+    assert r.flags == ["TableMergeSkipped:1->0:table 0 already holds table 1"]
+    assert sorted(parse_table(r.by_idx[0].table_html).cell_texts()) == ["a", "b", "c", "d"]
+    assert check_table_conservation(d, r) == []
+
+
 def test_assign_levels_stores_and_demotes():
     d = stack_elements(
         "t",
@@ -227,8 +239,8 @@ def test_assign_levels_stores_and_demotes():
     )
     r = assign_levels(_resolved(d), {0: 1, 1: -1})
     assert r.levels == {0: 1}
-    assert r.demoted == [1]
     assert r.by_idx[1].etype is ElementType.TEXT
+    assert 1 not in r.levels
 
 
 def test_assign_levels_missing_title_defaults_to_previous():
@@ -341,3 +353,24 @@ def test_content_conservation_under_random_chains(contents, data):
     for record in r.merge_log.records:
         expected = reduce(join_fragments, (f["content"] for f in record.fragments))
         assert r.by_idx[record.src_idx].content == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_table_conservation_under_random_judgements(data):
+    # Three or four one-row tables of two columns, some repeating the first
+    # table's row as a header; judgements in any order, reversed and repeated.
+    n = data.draw(st.integers(3, 4))
+    rows = data.draw(st.lists(st.sampled_from([("h", "k"), ("a", "b-"), ("c", "d"), ("e-", "f")]),
+                              min_size=n, max_size=n))
+    d = stack_elements("t", [
+        ("table", "", page, {"table_html": f"<table><tr><td>{u}</td><td>{v}</td></tr></table>"})
+        for page, (u, v) in enumerate(rows)
+    ])
+    idx = st.integers(0, n - 1)
+    columns = st.one_of(st.just([]), st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    judgement = st.tuples(idx, idx, columns).filter(lambda j: j[0] != j[1])
+    judgements = data.draw(st.lists(judgement, max_size=8))
+    r = merge_tables(_resolved(d), judgements)
+    assert check_table_conservation(d, r) == []
+    assert all(r.merge_log.resolve(e.idx) in r.by_idx for e in d.elements)

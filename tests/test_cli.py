@@ -627,6 +627,33 @@ def test_package_exports_resolve_on_first_use():
         docstitch.no_such_name
 
 
+def test_bare_import_loads_and_binds_no_submodule():
+    code = (
+        "import json, sys\n"
+        "import docstitch\n"
+        "unknown = hasattr(docstitch, 'no_such_name')\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('docstitch')),\n"
+        "                  hasattr(docstitch, 'pipeline'), unknown]))\n"
+    )
+    proc = run_python(code)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [["docstitch"], False, False], proc.stderr
+
+
+def test_every_export_is_the_object_its_defining_module_holds():
+    # Fresh interpreter: a name mistyped in the export table fails only here,
+    # on first use.
+    code = (
+        "import json, sys\n"
+        "import docstitch\n"
+        "wrong = [n for n in docstitch.__all__\n"
+        "         if getattr(sys.modules[getattr(docstitch, n).__module__], n) is not getattr(docstitch, n)]\n"
+        "print(json.dumps([wrong, len(docstitch.__all__), len(set(docstitch.__all__))]))\n"
+    )
+    proc = run_python(code)
+    wrong, n_names, n_distinct = json.loads(proc.stdout.splitlines()[-1])
+    assert wrong == [] and n_names == n_distinct == 61, proc.stderr
+
+
 def test_process_malformed_backend_url_degrades(tmp_path):
     proc = run_cli_process(
         "process", str(CORPUS_DIR / "memo_single.json"),

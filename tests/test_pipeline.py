@@ -87,7 +87,7 @@ def test_pipeline_with_well_behaved_remote_backend():
     # the demoted title is re-typed as text and lands in a section body
     demoted = result.resolved.by_idx[1]
     assert demoted.etype is ElementType.TEXT
-    assert 1 in result.resolved.demoted
+    assert 1 not in result.resolved.levels
     section_ids = [n.node_id for n in result.tree.walk() if n.kind == NodeKind.SECTION]
     assert section_ids == ["sec0", "sec3"]
     body_idx = [e.idx for e in result.tree.node("sec0").body]

@@ -157,15 +157,6 @@ def test_chunk_nodes_worked_example():
     assert all(c.kind == NodeKind.SUBNODE for c in section.children)
 
 
-def test_chunk_nodes_defers_split_at_forbidden_boundary():
-    tree = _section_with_paragraphs([400] * 5)
-    section = tree.root.children[0]
-    forbidden = {(section.body[2].idx, section.body[3].idx)}
-    chunk_nodes(tree, threshold=1000, forbidden_boundaries=forbidden)
-    sizes = [len(c.body) for c in section.children]
-    assert sizes == [4, 1]
-
-
 def test_chunk_nodes_preserves_order_and_content():
     tree = _section_with_paragraphs([300, 500, 700, 200])
     section = tree.root.children[0]
