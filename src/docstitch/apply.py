@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
 
-from .errors import ColumnMismatch, TableHtmlUnparseable
+from .errors import ColumnMismatch, Flag, TableHtmlUnparseable
 from .model import (
     CanonicalDocument,
     CanonicalElement,
@@ -89,7 +89,7 @@ class ResolvedDocument:
     caption_links: dict[int, int] = field(default_factory=dict)  # caption idx -> visual idx
     section_links: dict[int, int] = field(default_factory=dict)  # visual idx -> title idx
     merge_log: MergeLog = field(default_factory=MergeLog)
-    flags: list[str] = field(default_factory=list)
+    flags: list[Flag] = field(default_factory=list)
 
     @classmethod
     def from_document(cls, doc: CanonicalDocument) -> ResolvedDocument:
@@ -125,10 +125,10 @@ def merge_text(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Reso
             or tgt_el.etype is not ElementType.TEXT
             or next_text.get(src) != tgt
         ):
-            resolved.flags.append(f"PairNotAdjacent:{src}->{tgt}")
+            resolved.flags.append(Flag("PairNotAdjacent", f"{src}->{tgt}"))
             continue
         if src in succ or tgt in targets:
-            resolved.flags.append(f"PairDuplicated:{src}->{tgt}")
+            resolved.flags.append(Flag("PairDuplicated", f"{src}->{tgt}"))
             continue
         succ[src] = tgt
         targets.add(tgt)
@@ -186,7 +186,7 @@ def merge_tables(
                 raise ColumnMismatch(f"table {lower_idx} already holds table {upper_idx}")
             outcome = merge_grids(grids.grid(upper), grids.grid(lower), columns, join_fragments)
         except (ColumnMismatch, TableHtmlUnparseable) as exc:
-            resolved.flags.append(f"TableMergeSkipped:{upper_idx}->{lower_idx}:{exc.message}")
+            resolved.flags.append(Flag("TableMergeSkipped", f"{upper_idx}->{lower_idx}:{exc.message}"))
             continue
         resolved.merge_log.records.append(
             MergeRecord(
@@ -218,7 +218,7 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
 
     for idx in sorted(levels):
         if idx not in title_set:
-            resolved.flags.append(f"UnknownIdx:{idx}")
+            resolved.flags.append(Flag("UnknownIdx", str(idx)))
 
     stored: dict[int, int] = {}
     prev_level = 1
@@ -226,10 +226,10 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
         if idx in levels:
             level = levels[idx]
         else:
-            resolved.flags.append(f"UnknownTitle:{idx}")
+            resolved.flags.append(Flag("UnknownTitle", str(idx)))
             level = prev_level
         if level != -1 and level < 1:
-            resolved.flags.append(f"LevelClamped:{idx}:{level}")
+            resolved.flags.append(Flag("LevelClamped", f"{idx}:{level}"))
             level = 1
         if level == -1:
             by_idx[idx] = by_idx[idx].with_type(ElementType.TEXT)
@@ -251,7 +251,7 @@ def attach_links(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Re
         if src_el is None or tgt_el is None or not association_link_valid(
             src_el.etype, tgt_el.etype
         ):
-            resolved.flags.append(f"TypeRuleViolation:{src}->{tgt}")
+            resolved.flags.append(Flag("TypeRuleViolation", f"{src}->{tgt}"))
             continue
         links = (
             resolved.section_links
@@ -260,7 +260,7 @@ def attach_links(resolved: ResolvedDocument, pairs: list[tuple[int, int]]) -> Re
         )
         if src in links:
             if links[src] != tgt:
-                resolved.flags.append(f"LinkConflict:{src}->{tgt} (kept {links[src]})")
+                resolved.flags.append(Flag("LinkConflict", f"{src}->{tgt} (kept {links[src]})"))
             continue
         links[src] = tgt
     return resolved

@@ -1,7 +1,7 @@
 """Exception hierarchy with module-qualified error codes.
 
-Every error the CLI can surface carries a stable ``code`` so batch callers
-can match on it without parsing messages.
+Every error the CLI can surface, and every report warning (``Flag``),
+carries a stable ``code`` that callers match on without parsing messages.
 """
 
 from __future__ import annotations
@@ -64,6 +64,20 @@ class ConfigNotFound(ConfigError):
 
 class BadConfig(ConfigError):
     code = "chunking.BadConfig"
+
+
+class Flag(str):
+    """One report warning, with text ``[subtask[chunk]:]code[:detail]``.
+    ``run_pipeline`` places each predictor flag at its subtask and chunk."""
+
+    def __new__(cls, code: str, detail: str = "", subtask: str = "", chunk: int | None = None):
+        text = (f"{subtask}[{chunk}]:" if subtask else "") + code + (f":{detail}" if detail else "")
+        self = super().__new__(cls, text)
+        self.code, self.detail, self.subtask, self.chunk = code, detail, subtask, chunk
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Flag:
+        return self  # never changed once built, so asdict need not rebuild it
 
 
 # What a reader's conversions raise on a missing key or on a value of the wrong

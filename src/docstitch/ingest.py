@@ -32,7 +32,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Union
+from typing import Any, Callable, Iterable, Union
 
 from .errors import BAD_FIELD, BBoxInvalid, MalformedInput, SchemaUnknown, bad_field
 from .jsonio import read_json
@@ -96,8 +96,16 @@ class Profile:
 
 @functools.cache
 def _builtin_profiles() -> dict[str, Profile]:
+    folder = Path(__file__).with_name("profiles")
+    entries: Iterable[Any] = folder.glob("*.json")
+    if not folder.is_dir():
+        # A zipped package has no directory on disk; its loader reads the files.
+        from importlib.resources import files
+
+        packaged = files(__package__) / "profiles"
+        entries = (e for e in packaged.iterdir() if e.name.endswith(".json"))
     profiles = {}
-    for entry in sorted(Path(__file__).with_name("profiles").glob("*.json")):
+    for entry in sorted(entries, key=lambda e: e.name):
         profile = Profile.from_dict(json.loads(entry.read_text(encoding="utf-8")))
         profiles[profile.name] = profile
     return profiles

@@ -27,7 +27,7 @@ from .chunking import (
     plan_chunks,
     synchronize_hierarchy,
 )
-from .errors import BAD_FIELD, ConfigError, MalformedInput, bad_field
+from .errors import BAD_FIELD, ConfigError, Flag, MalformedInput, bad_field
 from .filtering import (
     ASSOCIATION_TYPES,
     FilterConfig,
@@ -197,7 +197,7 @@ CONFIG_KEYS: dict[tuple[Optional[str], str], tuple[str, Callable[[Any], Any]]] =
 @dataclass
 class RunReport:
     doc_id: str
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[Flag] = field(default_factory=list)
     validation: list[dict] = field(default_factory=list)
     sync: dict = field(default_factory=dict)
     union_conflicts: list[dict] = field(default_factory=list)
@@ -243,6 +243,7 @@ class _Run:
     index: PageIndex
     report: RunReport
     grids: TableGrids = field(default_factory=TableGrids)
+    skipped: set[tuple[int, int]] = field(default_factory=set)  # pairs in report.skipped_tables
 
 
 def _one_per_chunk(select: Callable[[_Run, tuple[int, int]], Any]) -> Callable:
@@ -264,7 +265,9 @@ def _table_requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[
         run.doc, run.filters, pages=span, index=run.index, grids=run.grids
     )
     for skip in tables.skipped:
-        if skip not in run.report.skipped_tables:
+        pair = (skip["upper_idx"], skip["lower_idx"])
+        if pair not in run.skipped:
+            run.skipped.add(pair)
             run.report.skipped_tables.append(skip)
     return [((cand.upper_idx, cand.lower_idx), cand) for cand in tables.candidates]
 
@@ -276,7 +279,7 @@ class Subtask:
     ``requests(run, chunk, span)`` filters one chunk into ``(key, request)``
     pairs; a key is predicted once however many chunks ask for it.
     ``payload(key, prediction)`` gives the items the prediction adds to the
-    chunk's payload and the flags it adds to the run's warnings.  Filters
+    chunk's payload; its flags join the run's warnings.  Filters
     and predictor methods are looked up by name at call time, so rebinding
     one (as a tracer does) takes effect.
     """
@@ -286,7 +289,7 @@ class Subtask:
     density_types: frozenset[ElementType]  # counted per page to place boundaries
     method: str  # the Predictor method
     requests: Callable[[_Run, int, tuple[int, int]], list[tuple[Any, Any]]]
-    payload: Callable[[Any, Any], tuple[Iterable, list[str]]]
+    payload: Callable[[Any, Any], Iterable]
 
 
 # In chunk-plan and dispatch order; warnings are reported by name.
@@ -295,7 +298,7 @@ SUBTASKS = (
         "hierarchy", ElementType.TITLE, frozenset({ElementType.TITLE}),
         "predict_title_hierarchy",
         _one_per_chunk(lambda run, span: filter_titles(run.doc, pages=span, index=run.index)),
-        lambda key, out: (out.levels.items(), out.flags),
+        lambda key, out: out.levels.items(),
     ),
     Subtask(
         "text", ElementType.TEXT, frozenset({ElementType.TEXT}),
@@ -303,7 +306,7 @@ SUBTASKS = (
         _one_per_chunk(lambda run, span: filter_text_truncation_candidates(
             run.doc, run.filters, pages=span, index=run.index
         )),
-        lambda key, out: (out.pairs, out.flags),
+        lambda key, out: out.pairs,
     ),
     Subtask(
         "association", ElementType.IMAGE, frozenset(ASSOCIATION_TYPES),
@@ -311,13 +314,13 @@ SUBTASKS = (
         _one_per_chunk(lambda run, span: filter_association_candidates(
             run.doc, pages=span, index=run.index
         )),
-        lambda key, out: (out.pairs, out.flags + [f"unresolved:{i}" for i in out.unresolved]),
+        lambda key, out: out.pairs,
     ),
     Subtask(
         "table", ElementType.TABLE, frozenset({ElementType.TABLE}),
         "predict_table_truncation",
         _table_requests,
-        lambda key, out: ([(*key, out.columns)], out.flags),
+        lambda key, out: [(*key, out.columns)],
     ),
 )
 
@@ -391,9 +394,9 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         for chunk, keys in chunk_keys[task.name]:
             payload = []
             for key in keys:
-                items, flags = task.payload(key, results[(task.name, key)])
-                report.warnings.extend(f"{task.name}[{chunk}]:{f}" for f in flags)
-                payload.extend(items)
+                out = results[(task.name, key)]
+                report.warnings.extend(Flag(f.code, f.detail, task.name, chunk) for f in out.flags)
+                payload.extend(task.payload(key, out))
             chunk_preds[task.name].append(ChunkPrediction(chunk, payload))
 
     sync = synchronize_hierarchy(chunk_preds["hierarchy"])
@@ -411,9 +414,9 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     report.union_conflicts = text.conflicts + assoc.conflicts + tables.conflicts
 
     resolved = apply_predictions(doc, predictions, run.grids)
-    # Nothing below reads the parsed tables; freeing them before the tree is
-    # built keeps the run's peak memory where it was before the cache.
-    del run
+    # Nothing below reads the parsed tables, the requests or the raw
+    # predictions; freeing them before the tree is built lowers the peak.
+    del run, jobs, results
 
     tree = build_tree(resolved)
     chunk_nodes(tree, cfg.node_chunk_chars)
@@ -433,6 +436,7 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     finally:
         summarizer.close()
     report.warnings.extend(tree.flags)
+    report.warnings.extend(resolved.flags)
 
     report.counts = {
         "elements": len(doc.elements),
@@ -441,10 +445,8 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         "table_merges": sum(1 for r in resolved.merge_log.records if r.kind == "table"),
         "links": len(resolved.caption_links) + len(resolved.section_links),
         "nodes": sum(1 for _ in tree.walk()),
-        "warnings": 0,  # filled below
+        "warnings": len(report.warnings),
     }
-    report.warnings.extend(resolved.flags)
-    report.counts["warnings"] = len(report.warnings)
 
     return PipelineResult(
         tree=tree,

@@ -13,7 +13,7 @@ import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from ..errors import BackendUnavailable, MalformedResponse
+from ..errors import BackendUnavailable, Flag, MalformedResponse
 from ..filtering import TablePairCandidate, TextPairCandidate
 from ..model import CAPTION_LINK_TARGET, CanonicalElement, ElementType, VISUAL_TYPES
 
@@ -25,7 +25,7 @@ class HierarchyPrediction:
     """Integer level per requested title idx; -1 demotes a non-title."""
 
     levels: dict[int, int]
-    flags: list[str] = field(default_factory=list)
+    flags: list[Flag] = field(default_factory=list)
 
 
 @dataclass
@@ -33,8 +33,7 @@ class PairPrediction:
     """(src, tgt) links for text truncation or association."""
 
     pairs: list[tuple[int, int]]
-    unresolved: list[int] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    flags: list[Flag] = field(default_factory=list)
 
 
 @dataclass
@@ -42,7 +41,7 @@ class CellMergeJudgement:
     """Column-wise 0/1 fusion vector; empty means 'not the same table'."""
 
     columns: list[int]
-    flags: list[str] = field(default_factory=list)
+    flags: list[Flag] = field(default_factory=list)
 
 
 class Predictor(ABC):
@@ -97,7 +96,7 @@ class FallbackPredictor(Predictor):
                 method, self.primary.name, exc.message, self.fallback.name,
             )
             result = getattr(self.fallback, method)(req)
-            result.flags.append(f"degraded:{self.primary.name}->{self.fallback.name}")
+            result.flags.append(Flag("degraded", f"{self.primary.name}->{self.fallback.name}"))
             return result
 
     def predict_title_hierarchy(self, req: list[CanonicalElement]) -> HierarchyPrediction:

@@ -23,7 +23,7 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Optional
 
-from ..errors import BAD_FIELD, BackendUnavailable, MalformedResponse
+from ..errors import BAD_FIELD, BackendUnavailable, Flag, MalformedResponse
 from ..filtering import TablePairCandidate, TextPairCandidate
 from ..model import CanonicalElement, json_int
 from . import (
@@ -200,11 +200,11 @@ def _records(data: object, keys: tuple[str, str]) -> list[tuple[int, int]]:
 
 
 def _allowed(
-    pairs: list[tuple[int, int]], allow: Callable[[int, int], bool], flag: str
+    pairs: list[tuple[int, int]], allow: Callable[[int, int], bool], flag: Flag
 ) -> PairPrediction:
-    """Keep the pairs ``allow`` accepts; flag each other one as ``flag:S->T``."""
+    """Keep the pairs ``allow`` accepts; flag each other one as ``flag``'s code, ``S->T``."""
     kept = [(s, t) for s, t in pairs if allow(s, t)]
-    dropped = [f"{flag}:{s}->{t}" for s, t in pairs if not allow(s, t)]
+    dropped = [Flag(flag.code, f"{s}->{t}") for s, t in pairs if not allow(s, t)]
     return PairPrediction(pairs=kept, flags=dropped)
 
 
@@ -282,7 +282,7 @@ class RemotePredictor(Predictor):
 
         def parse(data: object) -> PairPrediction:
             pairs = _records(data, ("src", "tgt"))
-            return _allowed(pairs, lambda s, t: (s, t) in candidates, "dropped_non_candidate")
+            return _allowed(pairs, lambda s, t: (s, t) in candidates, Flag("dropped_non_candidate"))
 
         return self._call(body, parse)  # type: ignore[return-value]
 
@@ -298,7 +298,7 @@ class RemotePredictor(Predictor):
             return src in etype and tgt in etype and association_link_valid(etype[src], etype[tgt])
 
         def parse(data: object) -> PairPrediction:
-            return _allowed(_records(data, ("src", "tgt")), allow, "dropped_type_rule")
+            return _allowed(_records(data, ("src", "tgt")), allow, Flag("dropped_type_rule"))
 
         return self._call(body, parse)  # type: ignore[return-value]
 
@@ -333,6 +333,6 @@ class RemotePredictor(Predictor):
                 problem = f"judgement length {len(columns)} != column count {n_cols}"
             else:
                 return CellMergeJudgement(columns=columns)
-            return CellMergeJudgement(columns=[], flags=[f"judgement_invalid:{problem}"])
+            return CellMergeJudgement(columns=[], flags=[Flag("judgement_invalid", problem)])
 
         return self._call(body, parse)  # type: ignore[return-value]

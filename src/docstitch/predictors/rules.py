@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
+from ..errors import Flag
 from ..filtering import TablePairCandidate, TextPairCandidate
 from ..model import CAPTION_LINK_TARGET, CanonicalElement, ElementType, VISUAL_TYPES
 
@@ -139,7 +140,7 @@ class RulePredictor(Predictor):
 
     def predict_association(self, req: list[CanonicalElement]) -> PairPrediction:
         pairs: list[tuple[int, int]] = []
-        unresolved: list[int] = []
+        flags: list[Flag] = []
         titles = [it for it in req if it.etype is ElementType.TITLE]
         visuals = [it for it in req if it.etype in VISUAL_TYPES]
 
@@ -159,7 +160,7 @@ class RulePredictor(Predictor):
                     chosen = ranked[0]
                     break
             if chosen is None:
-                unresolved.append(item.idx)
+                flags.append(Flag("unresolved", str(item.idx)))
             else:
                 pairs.append((item.idx, chosen.idx))
 
@@ -168,9 +169,9 @@ class RulePredictor(Predictor):
             if preceding:
                 pairs.append((v.idx, preceding[-1].idx))
             else:
-                unresolved.append(v.idx)
+                flags.append(Flag("unresolved", str(v.idx)))
 
-        return PairPrediction(pairs=pairs, unresolved=unresolved)
+        return PairPrediction(pairs=pairs, flags=flags)
 
     # -- table truncation -------------------------------------------------
 
@@ -181,9 +182,9 @@ class RulePredictor(Predictor):
             return CellMergeJudgement(columns=[])
         if not (upper.n_rows and lower.n_rows):
             # A row_window of 0 gives empty windows; there is no row to judge.
-            return CellMergeJudgement(columns=[], flags=["unparseable_rows"])
+            return CellMergeJudgement(columns=[], flags=[Flag("unparseable_rows")])
         if lower.row_text(0) == upper.row_text(0):
-            return CellMergeJudgement(columns=[0] * n, flags=["repeated_header"])
+            return CellMergeJudgement(columns=[0] * n, flags=[Flag("repeated_header")])
         upper_last = upper.row_text(upper.n_rows - 1)
         columns = []
         for j in range(n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .apply import ResolvedDocument
-from .errors import BAD_FIELD, BackendUnavailable, MalformedResponse, bad_field
+from .errors import BAD_FIELD, BackendUnavailable, Flag, MalformedResponse, bad_field
 from .model import (
     CanonicalElement,
     CoordUnit,
@@ -60,7 +60,7 @@ class DocTree:
     doc_id: str
     coord_unit: CoordUnit
     root: DocNode
-    flags: list[str] = field(default_factory=list)
+    flags: list[Flag] = field(default_factory=list)
     # The (page, bbox) pairs of each merged element's fragments, by the
     # merged element's idx, as build_tree reads them from the merge records;
     # like ``flags``, not part of DOC.tree.json.
@@ -167,9 +167,9 @@ def build_tree(resolved: ResolvedDocument) -> DocTree:
         if parent is None:
             parent = fallback_section
             if linked_title is not None:
-                tree.flags.append(f"VisualLinkUnplaced:{visual.idx}->{linked_title}")
+                tree.flags.append(Flag("VisualLinkUnplaced", f"{visual.idx}->{linked_title}"))
             else:
-                tree.flags.append(f"VisualUnlinked:{visual.idx}")
+                tree.flags.append(Flag("VisualUnlinked", str(visual.idx)))
         node = DocNode(
             node_id=f"vis{visual.idx}",
             kind=NodeKind.VISUAL,
@@ -315,6 +315,6 @@ def summarize_nodes(
         try:
             node.summary = summarizer.summarize(node.node_id, node.title_path, paragraphs)
         except BackendUnavailable as exc:
-            tree.flags.append(f"SummarizerFallback:{node.node_id}:{exc.message}")
+            tree.flags.append(Flag("SummarizerFallback", f"{node.node_id}:{exc.message}"))
             node.summary = fallback.summarize(node.node_id, node.title_path, paragraphs)
     return tree

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
@@ -262,6 +263,28 @@ def test_process_accepts_raw_input_with_profile(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "mineru_blocks.tree.json").exists()
+
+
+def test_builtin_profiles_resolve_from_a_zipped_package(tmp_path):
+    archive = tmp_path / "docstitch.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted((SRC / "docstitch").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(SRC).as_posix())
+    code = (
+        "import sys\n"
+        "import docstitch.cli\n"
+        "assert docstitch.cli.__file__.startswith(sys.argv[1]), docstitch.cli.__file__\n"
+        "sys.exit(docstitch.cli.main(sys.argv[2:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(archive), "process", str(RAW / "mineru_blocks.json"),
+         "--profile", "mineru", "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(archive)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "mineru_blocks.tree.json").exists()
 
 
 def test_process_is_bit_reproducible(tmp_path):

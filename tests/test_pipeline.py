@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 import threading
 import time
 
@@ -212,10 +211,9 @@ def test_warnings_are_ordered_by_subtask_then_chunk():
                 predictor_mode="remote", backend_url=backend.url, stride=2, threshold=0
             )
             warnings[doc_id] = run_pipeline(load_corpus_doc(doc_id), cfg).report.warnings
-        tagged = [re.match(r"(\w+)\[(\d+)\]:", w) for w in warnings[doc_id]]
-        keys = [(m[1], int(m[2])) for m in tagged if m]
+        keys = [(w.subtask, w.chunk) for w in warnings[doc_id] if w.subtask]
         assert keys == sorted(keys)
-    assert {w.split("[")[0] for w in warnings["audit_report"]} == {
+    assert {w.subtask for w in warnings["audit_report"]} == {
         "association", "hierarchy", "table", "text",
     }
     # One table pair, predicted once, replayed into both chunks that saw it.
@@ -223,9 +221,13 @@ def test_warnings_are_ordered_by_subtask_then_chunk():
         "table[0]:repeated_header", "table[0]:degraded:remote->rules",
         "table[1]:repeated_header", "table[1]:degraded:remote->rules",
     ]
-    # An association chunk's flags come before its unresolved entries.
-    assert warnings["figures_focus"][:2] == [
-        "association[0]:degraded:remote->rules", "association[0]:unresolved:0",
+    # Within a request, the predictor's own flags come first and degraded last.
+    assert [w for w in warnings["figures_focus"] if w.subtask == "association"] == [
+        "association[0]:unresolved:0", "association[0]:degraded:remote->rules",
+        "association[1]:unresolved:8", "association[1]:unresolved:4",
+        "association[1]:degraded:remote->rules",
+        "association[2]:unresolved:5", "association[2]:unresolved:8",
+        "association[2]:degraded:remote->rules",
     ]
 
 
@@ -414,6 +416,19 @@ def test_zero_row_window_flags_each_pair_and_merges_nothing():
     result = run_pipeline(doc, PipelineConfig.from_dict({"filters": {"row_window": 0}}))
     assert result.report.warnings == ["table[0]:unparseable_rows"] * 2
     assert result.report.counts["table_merges"] == 0
+
+
+def test_skipped_table_pairs_listed_once_in_first_seen_order():
+    # Every table fails to parse, so every page pair is skipped; overlapping
+    # chunks see the pairs on their shared pages more than once.
+    doc = stack_elements(
+        "junk", [("table", "", p, {"table_html": "<div>junk</div>"}) for p in range(40)]
+    )
+    result = run_pipeline(doc, PipelineConfig(stride=4, threshold=1))
+    assert all(result.report.realized_overlaps["table"])
+    assert result.report.skipped_tables == [
+        {"upper_idx": p, "lower_idx": p + 1, "reason": "no table rows found"} for p in range(39)
+    ]
 
 
 def test_chained_table_pair_follows_its_absorbed_upper():

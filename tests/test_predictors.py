@@ -132,7 +132,9 @@ def test_association_unresolved_caption_flagged(rules):
         ],
     )
     pred = rules.predict_association(filter_association_candidates(d))
-    assert 0 in pred.unresolved
+    # The image is unresolved too: no title precedes it.
+    assert pred.flags == ["unresolved:0", "unresolved:1"]
+    assert [(f.code, f.detail) for f in pred.flags] == [("unresolved", "0"), ("unresolved", "1")]
     assert all(src != 0 for src, _ in pred.pairs)
 
 
