@@ -2,8 +2,9 @@
 
 Each of the four subtasks consumes a different minimal slice of the
 document; everything else is noise for that subtask and is dropped before
-prediction.  All filters are pure projections: output idx sets are subsets
-of the input, input order is preserved.
+prediction.  Each filter takes a list of elements in reading order, one
+chunk's or a whole document's ``doc.elements``, and is a pure projection:
+output idx sets are subsets of the input, input order is preserved.
 """
 
 from __future__ import annotations
@@ -12,17 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import TableHtmlUnparseable
-from .model import (
-    CanonicalDocument,
-    CanonicalElement,
-    ElementType,
-    FURNITURE_TYPES,
-    PageIndex,
-)
+from .model import CanonicalElement, ElementType, FURNITURE_TYPES
 from .tables import TableGrid, TableGrids
 from .textrules import TextRules
 
-ASSOCIATION_TYPES = (
+ASSOCIATION_TYPES = frozenset({
     ElementType.TITLE,
     ElementType.IMAGE,
     ElementType.TABLE,
@@ -30,7 +25,7 @@ ASSOCIATION_TYPES = (
     ElementType.TABLE_CAPTION,
     ElementType.IMAGE_FOOTNOTE,
     ElementType.TABLE_FOOTNOTE,
-)
+})
 
 # Blocks that may sit between a page's last table and the page edge without
 # the table losing its boundary position.
@@ -76,41 +71,16 @@ class TableFilterResult:
     skipped: list[dict] = field(default_factory=list)
 
 
-def _scoped(
-    doc: CanonicalDocument, pages: Optional[tuple[int, int]], index: Optional[PageIndex]
-) -> list[CanonicalElement]:
-    """The elements on ``pages`` (all of them for None).
-
-    Callers filtering many page ranges of one document pass the same
-    ``index`` so the document is bucketed once.
-    """
-    if pages is None:
-        return doc.elements
-    return (index or PageIndex(doc)).on_pages(pages[0], pages[1])
+def filter_titles(elements: list[CanonicalElement]) -> list[CanonicalElement]:
+    return [e for e in elements if e.etype is ElementType.TITLE]
 
 
-def filter_titles(
-    doc: CanonicalDocument,
-    pages: Optional[tuple[int, int]] = None,
-    index: Optional[PageIndex] = None,
-) -> list[CanonicalElement]:
-    return [e for e in _scoped(doc, pages, index) if e.etype is ElementType.TITLE]
-
-
-def filter_association_candidates(
-    doc: CanonicalDocument,
-    pages: Optional[tuple[int, int]] = None,
-    index: Optional[PageIndex] = None,
-) -> list[CanonicalElement]:
-    wanted = set(ASSOCIATION_TYPES)
-    return [e for e in _scoped(doc, pages, index) if e.etype in wanted]
+def filter_association_candidates(elements: list[CanonicalElement]) -> list[CanonicalElement]:
+    return [e for e in elements if e.etype in ASSOCIATION_TYPES]
 
 
 def filter_text_truncation_candidates(
-    doc: CanonicalDocument,
-    cfg: Optional[FilterConfig] = None,
-    pages: Optional[tuple[int, int]] = None,
-    index: Optional[PageIndex] = None,
+    elements: list[CanonicalElement], cfg: Optional[FilterConfig] = None
 ) -> list[TextPairCandidate]:
     """Adjacent text pairs that are not provably untruncated.
 
@@ -119,7 +89,7 @@ def filter_text_truncation_candidates(
     requiring both keeps ambiguous pairs for the predictor.
     """
     rules = (cfg or FilterConfig()).rules
-    texts = [e for e in _scoped(doc, pages, index) if e.etype is ElementType.TEXT]
+    texts = [e for e in elements if e.etype is ElementType.TEXT]
     return [
         TextPairCandidate(
             src, tgt, rules.last_sentence(src.content), rules.first_sentence(tgt.content)
@@ -162,10 +132,8 @@ def has_continuation_marker(caption: Optional[str], markers: tuple[str, ...]) ->
 
 
 def filter_table_truncation_candidates(
-    doc: CanonicalDocument,
+    elements: list[CanonicalElement],
     cfg: Optional[FilterConfig] = None,
-    pages: Optional[tuple[int, int]] = None,
-    index: Optional[PageIndex] = None,
     grids: Optional[TableGrids] = None,
 ) -> TableFilterResult:
     """Page-boundary table pairs passing the layout consistency gates.
@@ -173,14 +141,13 @@ def filter_table_truncation_candidates(
     Gates: width ratio inside the configured band, then equal expanded
     column counts OR a continuation marker in the lower caption.  Tables
     whose HTML fails to parse are skipped and recorded, never fatal.
-    Callers filtering many page ranges pass one ``grids`` so each table is
+    Callers filtering many chunks pass one ``grids`` so each table is
     parsed once.
     """
     cfg = cfg or FilterConfig()
     grids = grids or TableGrids()
-    scoped = _scoped(doc, pages, index)
     by_page: dict[int, list[CanonicalElement]] = {}
-    for e in scoped:
+    for e in elements:
         by_page.setdefault(e.page, []).append(e)
 
     result = TableFilterResult(candidates=[])

@@ -38,6 +38,7 @@ from .filtering import (
 )
 from .model import (
     CanonicalDocument,
+    CanonicalElement,
     ElementType,
     PageIndex,
     json_int,
@@ -238,7 +239,6 @@ def _page_density(doc: CanonicalDocument, types: frozenset[ElementType]) -> Page
 class _Run:
     """What one run's request builders share across chunks."""
 
-    doc: CanonicalDocument
     filters: FilterConfig
     index: PageIndex
     report: RunReport
@@ -246,24 +246,25 @@ class _Run:
     skipped: set[tuple[int, int]] = field(default_factory=set)  # pairs in report.skipped_tables
 
 
-def _one_per_chunk(select: Callable[[_Run, tuple[int, int]], Any]) -> Callable:
+Elements = list[CanonicalElement]
+
+
+def _one_per_chunk(select: Callable[[_Run, Elements], Any]) -> Callable:
     """A builder for a subtask whose request carries its chunk's context:
     one request per chunk with any candidates, keyed by the chunk."""
 
-    def requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[Any, Any]]:
-        request = select(run, span)
+    def requests(run: _Run, chunk: int, elements: Elements) -> list[tuple[Any, Any]]:
+        request = select(run, elements)
         return [(chunk, request)] if len(request) else []
 
     return requests
 
 
-def _table_requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[Any, Any]]:
+def _table_requests(run: _Run, chunk: int, elements: Elements) -> list[tuple[Any, Any]]:
     """A table request does not depend on the chunk, so it is keyed by its
     (upper, lower) pair: each distinct pair is predicted once and its
     judgement replayed into every chunk that saw it."""
-    tables = filter_table_truncation_candidates(
-        run.doc, run.filters, pages=span, index=run.index, grids=run.grids
-    )
+    tables = filter_table_truncation_candidates(elements, run.filters, run.grids)
     for skip in tables.skipped:
         pair = (skip["upper_idx"], skip["lower_idx"])
         if pair not in run.skipped:
@@ -276,19 +277,19 @@ def _table_requests(run: _Run, chunk: int, span: tuple[int, int]) -> list[tuple[
 class Subtask:
     """How one subtask is chunked, requested, predicted and read back.
 
-    ``requests(run, chunk, span)`` filters one chunk into ``(key, request)``
-    pairs; a key is predicted once however many chunks ask for it.
-    ``payload(key, prediction)`` gives the items the prediction adds to the
-    chunk's payload; its flags join the run's warnings.  Filters
-    and predictor methods are looked up by name at call time, so rebinding
-    one (as a tracer does) takes effect.
+    ``requests(run, chunk, elements)`` filters one chunk's elements, in
+    reading order, into ``(key, request)`` pairs; a key is predicted once
+    however many chunks ask for it.  ``payload(key, prediction)`` gives the
+    items the prediction adds to the chunk's payload; its flags join the
+    run's warnings.  Filters and predictor methods are looked up by name at
+    call time, so rebinding one (as a tracer does) takes effect.
     """
 
     name: str
     plan_type: ElementType  # labels the chunk plan
     density_types: frozenset[ElementType]  # counted per page to place boundaries
     method: str  # the Predictor method
-    requests: Callable[[_Run, int, tuple[int, int]], list[tuple[Any, Any]]]
+    requests: Callable[[_Run, int, Elements], list[tuple[Any, Any]]]
     payload: Callable[[Any, Any], Iterable]
 
 
@@ -297,23 +298,21 @@ SUBTASKS = (
     Subtask(
         "hierarchy", ElementType.TITLE, frozenset({ElementType.TITLE}),
         "predict_title_hierarchy",
-        _one_per_chunk(lambda run, span: filter_titles(run.doc, pages=span, index=run.index)),
+        _one_per_chunk(lambda run, elements: filter_titles(elements)),
         lambda key, out: out.levels.items(),
     ),
     Subtask(
         "text", ElementType.TEXT, frozenset({ElementType.TEXT}),
         "predict_text_truncation",
-        _one_per_chunk(lambda run, span: filter_text_truncation_candidates(
-            run.doc, run.filters, pages=span, index=run.index
+        _one_per_chunk(lambda run, elements: filter_text_truncation_candidates(
+            elements, run.filters
         )),
         lambda key, out: out.pairs,
     ),
     Subtask(
-        "association", ElementType.IMAGE, frozenset(ASSOCIATION_TYPES),
+        "association", ElementType.IMAGE, ASSOCIATION_TYPES,
         "predict_association",
-        _one_per_chunk(lambda run, span: filter_association_candidates(
-            run.doc, pages=span, index=run.index
-        )),
+        _one_per_chunk(lambda run, elements: filter_association_candidates(elements)),
         lambda key, out: out.pairs,
     ),
     Subtask(
@@ -365,14 +364,14 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     # One page index and one parse of each table serve every chunk.  Every
     # request is built up front so remote calls can be issued concurrently;
     # the rule baseline runs them inline.
-    run = _Run(doc, cfg.filters, PageIndex(doc), report)
+    run = _Run(cfg.filters, PageIndex(doc), report)
     jobs: dict[tuple[str, Any], tuple[str, Any]] = {}
     chunk_keys: dict[str, list[tuple[int, list[Any]]]] = {}
     for task in SUBTASKS:
         chunk_keys[task.name] = []
         for chunk, span in enumerate(plans[task.name].chunks):
             keys = []
-            for key, request in task.requests(run, chunk, span):
+            for key, request in task.requests(run, chunk, run.index.on_pages(*span)):
                 jobs.setdefault((task.name, key), (task.method, request))
                 keys.append(key)
             if keys:

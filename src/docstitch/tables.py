@@ -146,6 +146,15 @@ def _cell_html(cell: LogicalCell) -> str:
     return f"<{tag}{attrs}>{escape(cell.text)}</{tag}>"
 
 
+def _span(value: Optional[str]) -> int:
+    """A ``rowspan`` or ``colspan`` value, read on its own: at least 1, and 1
+    when it is missing, empty or not an integer."""
+    try:
+        return max(1, int(value or 1))
+    except ValueError:
+        return 1
+
+
 class _TableHtmlParser(HTMLParser):
     """Collects raw rows of LogicalCells; html.parser lowercases tag names."""
 
@@ -173,11 +182,8 @@ class _TableHtmlParser(HTMLParser):
             if self._row is None:
                 self._row = []
             a = dict(attrs)
-            try:
-                rowspan = max(1, int(a.get("rowspan") or 1))
-                colspan = min(MAX_COLSPAN, max(1, int(a.get("colspan") or 1)))
-            except ValueError:
-                rowspan, colspan = 1, 1
+            rowspan = _span(a.get("rowspan"))
+            colspan = min(MAX_COLSPAN, _span(a.get("colspan")))
             self._cell = []
             self._cell_attrs = (rowspan, colspan, tag == "th")
 

@@ -22,7 +22,7 @@ def rules():
 
 def _title_seq(*contents):
     d = stack_elements("t", [("title", c, 0) for c in contents])
-    return filter_titles(d)
+    return filter_titles(d.elements)
 
 
 @pytest.mark.parametrize(
@@ -77,14 +77,14 @@ def test_minimum_level_is_one(rules):
 
 
 def test_golden_fixture_title_levels(field_manual):
-    pred = RulePredictor().predict_title_hierarchy(filter_titles(field_manual))
+    pred = RulePredictor().predict_title_hierarchy(filter_titles(field_manual.elements))
     assert pred.levels[1] == 1
     assert [pred.levels[i] for i in (2, 12, 23, 36, 43, 47)] == [2] * 6
     assert [pred.levels[i] for i in (8, 11, 16, 19, 30, 31)] == [4] * 6
 
 
 def test_text_truncation_rules(rules, field_manual):
-    cands = filter_text_truncation_candidates(field_manual)
+    cands = filter_text_truncation_candidates(field_manual.elements)
     pred = rules.predict_text_truncation(cands)
     # hand application: only the hyphen and mid-word pairs merge
     assert pred.pairs == [(9, 10), (22, 24)]
@@ -92,7 +92,7 @@ def test_text_truncation_rules(rules, field_manual):
 
 def test_text_truncation_pair_subset_of_candidates(rules, corpus):
     for doc in corpus.values():
-        cands = filter_text_truncation_candidates(doc)
+        cands = filter_text_truncation_candidates(doc.elements)
         pred = rules.predict_text_truncation(cands)
         assert set(pred.pairs) <= {(c.src.idx, c.tgt.idx) for c in cands}
 
@@ -105,7 +105,7 @@ def test_association_same_page_caption(rules):
             ("image_caption", "cap", 0),
         ],
     )
-    pred = rules.predict_association(filter_association_candidates(d))
+    pred = rules.predict_association(filter_association_candidates(d.elements))
     assert (1, 0) in pred.pairs
 
 
@@ -118,7 +118,7 @@ def test_association_nearest_preceding_title(rules):
             ("table", "", 0, {"table_html": "<table><tr><td>x</td></tr></table>"}),
         ],
     )
-    pred = rules.predict_association(filter_association_candidates(d))
+    pred = rules.predict_association(filter_association_candidates(d.elements))
     assert (2, 1) in pred.pairs
 
 
@@ -131,7 +131,7 @@ def test_association_unresolved_caption_flagged(rules):
             ("title", "T", 3),
         ],
     )
-    pred = rules.predict_association(filter_association_candidates(d))
+    pred = rules.predict_association(filter_association_candidates(d.elements))
     # The image is unresolved too: no title precedes it.
     assert pred.flags == ["unresolved:0", "unresolved:1"]
     assert [(f.code, f.detail) for f in pred.flags] == [("unresolved", "0"), ("unresolved", "1")]
@@ -147,7 +147,7 @@ def test_association_respects_caption_kind(rules):
             ("image", "", 1, {"asset_ref": "b.png"}),
         ],
     )
-    pred = rules.predict_association(filter_association_candidates(d))
+    pred = rules.predict_association(filter_association_candidates(d.elements))
     # image_caption must link to the image on the next page, not the table
     assert (1, 2) in pred.pairs
 
@@ -188,9 +188,9 @@ def test_table_rules_hyphen_fragment(rules):
 
 def test_rule_baseline_fully_deterministic(field_manual):
     a, b = RulePredictor(), RulePredictor()
-    titles = filter_titles(field_manual)
+    titles = filter_titles(field_manual.elements)
     assert a.predict_title_hierarchy(titles).levels == b.predict_title_hierarchy(titles).levels
-    cands = filter_text_truncation_candidates(field_manual)
+    cands = filter_text_truncation_candidates(field_manual.elements)
     assert a.predict_text_truncation(cands).pairs == b.predict_text_truncation(cands).pairs
-    assoc = filter_association_candidates(field_manual)
+    assoc = filter_association_candidates(field_manual.elements)
     assert a.predict_association(assoc).pairs == b.predict_association(assoc).pairs

@@ -33,7 +33,7 @@ def small_doc():
 
 
 def test_hierarchy_request_and_response(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     with MockBackend({"title_hierarchy": [{"idx": 0, "level": 1}, {"idx": 3, "level": 2}]}) as be:
         pred = RemotePredictor(be.url).predict_title_hierarchy(titles)
         assert pred.levels == {0: 1, 3: 2}
@@ -49,7 +49,7 @@ def test_hierarchy_request_and_response(small_doc):
 
 
 def test_hierarchy_missing_idx_retried_then_error(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     with MockBackend({"title_hierarchy": [{"idx": 0, "level": 1}]}) as be:
         with pytest.raises(MalformedResponse):
             RemotePredictor(be.url).predict_title_hierarchy(titles)
@@ -57,7 +57,7 @@ def test_hierarchy_missing_idx_retried_then_error(small_doc):
 
 
 def test_hierarchy_retry_can_recover(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     ok = [{"idx": 0, "level": 1}, {"idx": 3, "level": 1}]
     with MockBackend({"title_hierarchy": Seq(["garbage", ok])}) as be:
         pred = RemotePredictor(be.url).predict_title_hierarchy(titles)
@@ -65,7 +65,7 @@ def test_hierarchy_retry_can_recover(small_doc):
 
 
 def test_duplicate_idx_is_malformed(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     dup = [{"idx": 0, "level": 1}, {"idx": 0, "level": 2}, {"idx": 3, "level": 1}]
     with MockBackend({"title_hierarchy": dup}) as be:
         with pytest.raises(MalformedResponse):
@@ -78,7 +78,7 @@ def test_duplicate_idx_is_malformed(small_doc):
     ids=["2**53-1", "-(2**53-1)", "2**53", "10**400", "true"],
 )
 def test_hierarchy_levels_are_json_integers_within_2_53(small_doc, level, ok):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     reply = [{"idx": 0, "level": level}, {"idx": 3, "level": 1}]
     with MockBackend({"title_hierarchy": reply}) as be:
         if ok:
@@ -89,7 +89,7 @@ def test_hierarchy_levels_are_json_integers_within_2_53(small_doc, level, ok):
 
 
 def test_pairs_outside_candidate_set_dropped_and_flagged(small_doc):
-    cands = filter_text_truncation_candidates(small_doc)
+    cands = filter_text_truncation_candidates(small_doc.elements)
     assert [(c.src.idx, c.tgt.idx) for c in cands] == [(1, 2)]
     resp = [{"src": 1, "tgt": 2, "reason": "ok"}, {"src": 9, "tgt": 10, "reason": "bogus"}]
     with MockBackend({"text_truncation": resp}) as be:
@@ -102,7 +102,7 @@ def test_text_truncation_request_bytes_are_pinned(corpus):
     # audit_report holds the chain 2 -> 3 -> 4, so element 3 is sent once,
     # and a 12-character sentence cap makes its head and tail differ.
     cfg = FilterConfig(rules=TextRules(sentence_cap_chars=12))
-    cands = filter_text_truncation_candidates(corpus["audit_report"], cfg)
+    cands = filter_text_truncation_candidates(corpus["audit_report"].elements, cfg)
     with MockBackend({"text_truncation": []}) as be:
         RemotePredictor(be.url).predict_text_truncation(cands)
         assert be.requests[0]["raw"] == (
@@ -117,7 +117,7 @@ def test_text_truncation_request_bytes_are_pinned(corpus):
 
 
 def test_association_type_rule_violations_dropped(small_doc):
-    assoc = filter_association_candidates(small_doc)
+    assoc = filter_association_candidates(small_doc.elements)
     resp = [
         {"src": 5, "tgt": 4},  # caption -> image: fine
         {"src": 5, "tgt": 0},  # caption -> title: violates the link rules
@@ -156,14 +156,14 @@ def test_table_judgement_entries_must_be_integers_0_or_1(judgement):
 
 
 def test_http_error_raises_backend_unavailable(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     with MockBackend({"title_hierarchy": 500}) as be:
         with pytest.raises(BackendUnavailable):
             RemotePredictor(be.url).predict_title_hierarchy(titles)
 
 
 def test_unreachable_backend_raises(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     predictor = RemotePredictor("http://127.0.0.1:9/", timeout=0.2)
     with pytest.raises(BackendUnavailable):
         predictor.predict_title_hierarchy(titles)
@@ -171,14 +171,14 @@ def test_unreachable_backend_raises(small_doc):
 
 def test_auth_token_header_from_env(small_doc, monkeypatch):
     monkeypatch.setenv("DOCSTITCH_BACKEND_TOKEN", "sekrit")
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     with MockBackend({"title_hierarchy": [{"idx": 0, "level": 1}, {"idx": 3, "level": 1}]}) as be:
         RemotePredictor(be.url).predict_title_hierarchy(titles)
         assert be.requests[0]["headers"].get("Authorization") == "Bearer sekrit"
 
 
 def test_fallback_predictor_degrades_per_call(small_doc, caplog):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     remote = RemotePredictor("http://127.0.0.1:9/", timeout=0.2)
     predictor = FallbackPredictor(remote, RulePredictor())
     pred = predictor.predict_title_hierarchy(titles)
@@ -190,7 +190,7 @@ def test_fallback_predictor_degrades_per_call(small_doc, caplog):
 
 
 def test_fallback_used_after_persistent_malformed(small_doc):
-    titles = filter_titles(small_doc)
+    titles = filter_titles(small_doc.elements)
     with MockBackend({"title_hierarchy": "garbage"}) as be:
         predictor = FallbackPredictor(RemotePredictor(be.url), RulePredictor())
         pred = predictor.predict_title_hierarchy(titles)

@@ -196,6 +196,18 @@ def test_non_integer_span_reads_as_one(attrs):
     assert [grid.row_text(r) for r in range(2)] == [["a", "b"], ["c", "d"]]
 
 
+@pytest.mark.parametrize("html, rows", [
+    ('<tr><td rowspan="x" colspan="2">a</td></tr><tr><td>b</td><td>c</td></tr>',
+     [["a", "a"], ["b", "c"]]),
+    ('<tr><td rowspan="2" colspan="two">a</td><td>z</td></tr><tr><td>c</td></tr>',
+     [["a", "z"], ["a", "c"]]),
+], ids=["bad_rowspan", "bad_colspan"])
+def test_each_span_attribute_is_read_on_its_own(html, rows):
+    # An unreadable value in one attribute leaves the other one standing.
+    grid = parse_table(f"<table>{html}</table>")
+    assert [grid.row_text(r) for r in range(grid.n_rows)] == rows
+
+
 def test_cell_without_a_row_opens_one():
     grid = parse_table("<table><td>a</td><td>b</td></table>")
     assert (grid.n_rows, grid.row_text(0)) == (1, ["a", "b"])

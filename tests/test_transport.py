@@ -222,7 +222,7 @@ def titles():
     doc = stack_elements(
         "t", [("title", "Alpha", 0), ("text", "Body.", 0), ("title", "Beta", 1)]
     )
-    return filter_titles(doc)
+    return filter_titles(doc.elements)
 
 
 LEVELS = [{"idx": 0, "level": 1}, {"idx": 2, "level": 2}]

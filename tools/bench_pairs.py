@@ -20,10 +20,14 @@ change checkout's ``BENCHMARK.json``, so both sides run the benchmark's
 length.  For each workload and metric the summary gives both sides'
 median, quartiles and range; ``change_better``, the number of pairs in
 which the change read better, ties counting for neither side;
-``parent_iqr``, the parent's interquartile range (q3 - q1); and
+``parent_iqr``, the parent's interquartile range (q3 - q1);
 ``gap_exceeds_parent_iqr``, whether the two medians differ by more than
-that range.  A gain is claimed only when the change reads better in at
-least nine pairs of ten and the gap exceeds the range.  A run that
+that range; ``worse_by``, the gap between the medians relative to the
+parent's median, positive when the change reads worse in the metric's
+direction and negative when it reads better; and ``within_bound``, the
+no-regression gate, whether ``worse_by`` is at most the metric's ``bound``
+in ``BENCHMARK.json``.  A gain is claimed only when the change reads better
+in at least nine pairs of ten and the gap exceeds the range.  A run that
 exits non-zero or does not print ``"correct": true`` is recorded with its
 stderr tail and left out of the summary.
 """
@@ -94,6 +98,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         parent_spread, change_spread = spread(parent), spread(change)
         parent_iqr = parent_spread["q3"] - parent_spread["q1"]
+        gap = change_spread["median"] - parent_spread["median"]
+        worse_by = (gap if lower else -gap) / parent_spread["median"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -101,7 +107,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change": change_spread,
             "change_better": f"{better}/{len(ok)}",
             "parent_iqr": parent_iqr,
-            "gap_exceeds_parent_iqr": abs(change_spread["median"] - parent_spread["median"]) > parent_iqr,
+            "gap_exceeds_parent_iqr": abs(gap) > parent_iqr,
+            "worse_by": worse_by,
+            "within_bound": worse_by <= metric["bound"],
         }
     return out
 
