@@ -19,7 +19,7 @@ from typing import Callable, Optional, TextIO
 from .errors import ConfigError, DocstitchError, DuplicateDocId, bad_field
 from .exporters import export_json, export_markdown, tree_from_dict, write_json
 from .ingest import normalize_elements
-from .jsonio import dumps_pretty, read_json
+from .jsonio import read_json, write_pretty
 from .model import CanonicalDocument, int_key, validate_document
 from .pipeline import PipelineConfig, plan_subtasks, run_pipeline, thread_map
 
@@ -47,12 +47,18 @@ def _write_text(path: Path, text: str) -> None:
     _write_file(path, lambda f: f.write(text))
 
 
-def _dump(obj: dict, path: Optional[Path] = None) -> None:
-    text = dumps_pretty(obj) + "\n"
+def _write_pretty(obj: object, f: TextIO) -> None:
+    write_pretty(obj, f.write)
+    f.write("\n")
+
+
+def _dump(obj: object, path: Optional[Path] = None) -> None:
+    """Write ``dumps_pretty(obj) + "\\n"`` to ``path``, or to stdout, in
+    bounded pieces: the whole text is never held at once."""
     if path is None:
-        sys.stdout.write(text)
+        _write_pretty(obj, sys.stdout)
     else:
-        _write_text(path, text)
+        _write_file(path, lambda f: _write_pretty(obj, f))
 
 
 def _load_document(path: Path, profile: str) -> CanonicalDocument:
@@ -138,10 +144,7 @@ def _write_error(exc: DocstitchError) -> int:
 def cmd_normalize(args: argparse.Namespace) -> int:
     raw = read_json(Path(args.input))
     result = normalize_elements(raw, args.profile, doc_id=Path(args.input).stem)  # type: ignore[arg-type]
-    if args.out:
-        _write_text(Path(args.out), result.document.to_json())
-    else:
-        sys.stdout.write(result.document.to_json())
+    _dump(result.document.to_dict(), Path(args.out) if args.out else None)
     if args.report:
         validation = validate_document(result.document)
         _dump(
@@ -161,25 +164,27 @@ def _process_one(
     between the load and the run, and may refuse the doc_id by raising."""
     doc = _load_document(path, cfg.profile)
     claim(doc.doc_id)
-    result = run_pipeline(doc, cfg)
     stem = doc.doc_id
+    result = run_pipeline(doc, cfg)
+    # Each output is held only while an artifact still to be written reads
+    # it: the tree (the largest) and the elements, which the document, the
+    # resolved document and the tree share, are freed once DOC.tree.json
+    # and DOC.md are written, before the JSON artifacts.
+    tree, merge_log = result.tree, result.resolved.merge_log
+    plans, predictions, report = result.chunk_plans, result.predictions, result.report
+    del doc, result
 
     if "json" in cfg.export_formats:
         # Streamed: the tree's text is the largest thing a run writes.
-        _write_file(out_dir / f"{stem}.tree.json", lambda f: write_json(result.tree, f))
+        _write_file(out_dir / f"{stem}.tree.json", lambda f: write_json(tree, f))
     if "markdown" in cfg.export_formats:
-        _write_text(out_dir / f"{stem}.md", export_markdown(result.tree))
-    _dump(result.resolved.merge_log.to_dict(), out_dir / f"{stem}.merge_log.json")
-    _dump(
-        {name: plan.to_dict() for name, plan in result.chunk_plans.items()},
-        out_dir / f"{stem}.chunks.json",
-    )
-    _dump(
-        {"doc_id": stem, **result.predictions.to_dict()},
-        out_dir / f"{stem}.predictions.json",
-    )
-    _dump(result.report.to_dict(), out_dir / f"{stem}.report.json")
-    return {"input": path.name, "doc_id": stem, "warnings": len(result.report.warnings)}
+        _write_text(out_dir / f"{stem}.md", export_markdown(tree))
+    del tree
+    _dump(merge_log.to_dict(), out_dir / f"{stem}.merge_log.json")
+    _dump({name: plan.to_dict() for name, plan in plans.items()}, out_dir / f"{stem}.chunks.json")
+    _dump({"doc_id": stem, **predictions.to_dict()}, out_dir / f"{stem}.predictions.json")
+    _dump(report.to_dict(), out_dir / f"{stem}.report.json")
+    return {"input": path.name, "doc_id": stem, "warnings": len(report.warnings)}
 
 
 def cmd_process(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring as _quote
 from typing import Callable, TextIO
 
 from .errors import BAD_FIELD, MalformedInput, bad_field
-from .jsonio import _INDENT, _float, _int, _value
+from .jsonio import _INDENT, _PIECE_PARTS, _float, _int, write_pretty
 from .model import (
     CanonicalElement,
     CoordUnit,
@@ -38,13 +38,13 @@ FORMAT_VERSION = 1
 # so json.dumps(indent=2, ensure_ascii=False)) gives for the same records as
 # dicts; tests/oracles.py keeps that dict form as the reference.
 #
-# The text leaves the writer in pieces: once its parts list holds this many
-# parts (a node's own record, or a bracket or comma between child nodes, is
-# one part), the list is joined, handed to the sink and cleared.  So writing
-# DOC.tree.json holds a few hundred node records at a time, not the whole
-# text.  The largest part is the root's record, which lists every page's
-# furniture: 2% of the text on the benchmark's 1,800-page report.
-_PIECE_PARTS = 512
+# The text leaves the writer in pieces by jsonio's rule: once its parts list
+# holds _PIECE_PARTS parts (a node's own record, or a bracket or comma
+# between child nodes, is one part), the list is joined, handed to the sink
+# and cleared.  So writing DOC.tree.json holds a few hundred node records at
+# a time, not the whole text.  The largest part is the root's record, which
+# lists every page's furniture: 2% of the text on the benchmark's
+# 1,800-page report.
 
 
 def _text(v: object, nl: str) -> str:
@@ -60,9 +60,9 @@ def _text(v: object, nl: str) -> str:
         return _float(v)  # type: ignore[arg-type]
     if v is None:
         return "null"
-    out: list[str] = []
-    _value(v, "", nl, out)
-    return "".join(out)
+    pieces: list[str] = []
+    write_pretty(v, pieces.append, nl)
+    return "".join(pieces)
 
 
 @lru_cache(maxsize=None)  # keyed by indent: one entry per tree depth

@@ -9,7 +9,7 @@ all reference blocks by ``idx``).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import FrozenInstanceError, asdict, dataclass, field, replace
 from enum import Enum
 from math import isfinite
 from typing import Iterable, Optional
@@ -189,12 +189,13 @@ def check_strings(*values: object) -> None:
             value.encode("utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalElement:
     """One OCR block in canonical form.
 
     ``content`` may be empty for image/table bodies held as references;
-    tables carry their body as ``table_html`` instead.
+    tables carry their body as ``table_html`` instead.  Slotted: a run holds
+    one per block, and a slotted instance has no ``__dict__``.
     """
 
     idx: int
@@ -235,6 +236,16 @@ class CanonicalElement:
         )
         check_strings(element.content, element.table_html, element.asset_ref)
         return element
+
+
+def _read_only(self: object, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}: the instance is frozen")
+
+
+# The __setattr__ and __delattr__ that dataclasses generates for a slotted
+# frozen class raise TypeError, not AttributeError, for a name that is not a
+# field: their super() call names the class from before slots were added.
+CanonicalElement.__setattr__ = CanonicalElement.__delattr__ = _read_only  # type: ignore[method-assign, assignment]
 
 
 class CoordUnit(str, Enum):

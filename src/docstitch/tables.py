@@ -8,6 +8,7 @@ cells own a block of slots.  Serialization back to HTML preserves spans.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from html import escape
 from html.parser import HTMLParser
@@ -146,13 +147,24 @@ def _cell_html(cell: LogicalCell) -> str:
     return f"<{tag}{attrs}>{escape(cell.text)}</{tag}>"
 
 
+# The WHATWG rules for parsing non-negative integers: leading ASCII
+# whitespace, one optional "+", then the ASCII digits up to the first
+# non-digit.  So "2px" reads as 2 and "1_0" as 1, and an Arabic-Indic digit
+# is no digit.  Leading zeros are left out of the group.
+_SPAN = re.compile(r"[\t\n\f\r ]*\+?0*([0-9]+)")
+
+
 def _span(value: Optional[str]) -> int:
-    """A ``rowspan`` or ``colspan`` value, read on its own: at least 1, and 1
-    when it is missing, empty or not an integer."""
-    try:
-        return max(1, int(value or 1))
-    except ValueError:
+    """A ``rowspan`` or ``colspan`` value, read on its own by ``_SPAN``: at
+    least 1, and 1 when it is missing or starts with no digits.  A span past
+    ``MAX_GRID_SLOTS`` reads as that many, since no grid has more rows or
+    columns; so int() never meets a string of thousands of digits."""
+    # Almost every cell has no span attribute: no regex match for those.
+    match = _SPAN.match(value) if value else None
+    if match is None:
         return 1
+    digits = match[1]
+    return MAX_GRID_SLOTS if len(digits) > 6 else max(1, min(MAX_GRID_SLOTS, int(digits)))
 
 
 class _TableHtmlParser(HTMLParser):

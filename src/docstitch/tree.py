@@ -10,7 +10,7 @@ every node a summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 from .apply import ResolvedDocument
@@ -33,8 +33,11 @@ class NodeKind:
     VISUAL = "visual"
 
 
-@dataclass
+@dataclass(slots=True)
 class DocNode:
+    """One tree node; slotted, since a tree holds about one per section,
+    subnode and visual."""
+
     node_id: str
     kind: str
     level: int
@@ -45,6 +48,12 @@ class DocNode:
     bboxes: list[tuple[int, Sequence[float]]] = field(default_factory=list)
     summary: Optional[str] = None
     children: list[DocNode] = field(default_factory=list)
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        # Pickle protocols 0 and 1 refuse a slotted class without its own
+        # __getstate__; pickle and copy restore (no __dict__, slot values)
+        # by setting each slot.
+        return None, {f.name: getattr(self, f.name) for f in fields(self)}
 
     def body_texts(self) -> list[str]:
         return [e.content for e in self.body if e.content]

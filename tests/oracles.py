@@ -4,13 +4,15 @@ These deliberately re-derive results through a different route than the
 library: the tree edit distance oracle explores edit scripts recursively
 over forests (no keyroots, no postorder tables), the chunk boundary
 oracle rescans every window naively, the tree-JSON oracle builds the
-nested dicts that ``exporters.export_json`` writes as text directly, and
+nested dicts that ``exporters.export_json`` writes as text directly (and
+the stdlib's encoder writes every JSON artifact's reference text), and
 the sentence oracle walks the text one character at a time where
 ``TextRules.split_sentences`` runs one regular expression.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 # -- ordered labeled trees as (label, children-tuple) --------------------
@@ -143,6 +145,12 @@ def tree_to_dict(tree) -> dict:
         "coord_unit": tree.coord_unit.value,
         "root": node_to_dict(tree.root),
     }
+
+
+def stdlib_text(obj) -> str:
+    """The text of a JSON artifact holding ``obj`` by the stdlib's encoder:
+    docstitch writes every JSON artifact as exactly this."""
+    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
 
 # -- sentence splitting oracle --------------------------------------------

@@ -26,16 +26,19 @@ from hypothesis import strategies as st
 
 import docstitch.cli
 import docstitch.exporters
+import docstitch.jsonio
+import docstitch.pipeline
 from docstitch import errors
 from docstitch.cli import _process_one, main
 from docstitch.exporters import export_json
+from docstitch.jsonio import dumps_pretty, write_pretty
 from docstitch.model import CanonicalDocument, ElementType, doc_id_of
 from docstitch.pipeline import PipelineConfig, run_pipeline
 from docstitch.predictors.remote import RemotePredictor
 
 from .conftest import CORPUS_DIR, CORPUS_IDS, GOLD_DIR, GOLDEN_DIR
 from .mock_backend import MockBackend, Seq
-from .oracles import tree_to_dict
+from .oracles import stdlib_text, tree_to_dict
 
 RAW = Path(__file__).parent / "fixtures" / "raw"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -254,6 +257,82 @@ def test_failed_streamed_tree_write_keeps_previous_file(tmp_path, monkeypatch):
         run_cli(*args)
     assert written
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_streamed_json_artifacts_are_the_whole_text(tmp_path, monkeypatch):
+    # The merge-log, chunk-plan, predictions and report artifacts reach their
+    # files in pieces; wherever a piece ends (after any container: one part
+    # per piece at the extreme), each file is dumps_pretty's text of its
+    # object and the stdlib's.
+    inputs = [CORPUS_DIR / f"{doc_id}.json" for doc_id in CORPUS_IDS]
+    inputs.append(generated_report(tmp_path, monkeypatch, 120))
+    dumped: dict[str, object] = {}
+    dump = docstitch.cli._dump
+
+    def recorded(obj, path=None):
+        if path is not None:
+            dumped[path.name] = obj
+        dump(obj, path)
+
+    monkeypatch.setattr(docstitch.cli, "_dump", recorded)
+    for parts in (512, 1, 2, 3, 7):
+        monkeypatch.setattr(docstitch.jsonio, "_PIECE_PARTS", parts)
+        dumped.clear()
+        out = tmp_path / f"out{parts}"
+        assert run_cli("process", *map(str, inputs), "--out-dir", str(out)) == 0
+        assert len(dumped) == 4 * len(inputs)
+        for name, obj in dumped.items():
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == dumps_pretty(obj) + "\n" == stdlib_text(obj), (parts, name)
+        if parts == 512:
+            pieces: list[str] = []
+            write_pretty(dumped["report120.merge_log.json"], pieces.append)
+            assert len(pieces) >= 3
+
+
+def test_export_phase_frees_the_tree_and_streams_the_merge_log(tmp_path, monkeypatch):
+    # Traced over a whole process run of a 600-page report: the tree is
+    # freed once DOC.tree.json and DOC.md are written, so the memory live as
+    # the first JSON artifact starts is below the memory live before the
+    # tree write by at least the tree's own size; and writing
+    # DOC.merge_log.json holds under half its size above what was live.
+    report = generated_report(tmp_path, monkeypatch, 600)
+    live: dict[str, int] = {}
+    merge_log_peaks = []
+
+    def traced(name, fn, when):
+        def call(*args, **kwargs):
+            if when == "before":
+                live.setdefault(name, tracemalloc.get_traced_memory()[0])
+            result = fn(*args, **kwargs)
+            if when == "after":
+                live[name] = tracemalloc.get_traced_memory()[0]
+            return result
+        return call
+
+    def write_merge_log(obj, sink):
+        if "first_dump" in live:
+            return write_pretty(obj, sink)
+        live["first_dump"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_pretty(obj, sink)
+        merge_log_peaks.append(tracemalloc.get_traced_memory()[1] - live["first_dump"])
+
+    monkeypatch.setattr(docstitch.pipeline, "build_tree", traced("tree_build", docstitch.pipeline.build_tree, "before"))
+    monkeypatch.setattr(docstitch.pipeline, "summarize_nodes", traced("tree_built", docstitch.pipeline.summarize_nodes, "after"))
+    monkeypatch.setattr(docstitch.cli, "write_json", traced("tree_write", docstitch.cli.write_json, "before"))
+    monkeypatch.setattr(docstitch.cli, "write_pretty", write_merge_log)
+    tracemalloc.start()
+    try:
+        assert run_cli("process", str(report), "--out-dir", str(tmp_path)) == 0
+    finally:
+        tracemalloc.stop()
+    tree_size = live["tree_built"] - live["tree_build"]
+    assert tree_size > 500_000, tree_size
+    assert live["tree_write"] - live["first_dump"] >= tree_size, (live, tree_size)
+    size = (tmp_path / "report600.merge_log.json").stat().st_size
+    assert size > 100_000
+    assert merge_log_peaks[0] < size / 2, (merge_log_peaks, size)
 
 
 def test_process_accepts_raw_input_with_profile(tmp_path):

@@ -196,6 +196,24 @@ def test_non_integer_span_reads_as_one(attrs):
     assert [grid.row_text(r) for r in range(2)] == [["a", "b"], ["c", "d"]]
 
 
+@pytest.mark.parametrize("value, span", [
+    ("2px", 2), (" 3", 3), ("\t\n\f\r2", 2), ("+2", 2), ("002", 2), ("1_0", 1), ("\u0662", 1),
+    ("1.5", 1), ("0", 1), ("-2", 1), ("++2", 1), ("\u00a02", 1), ("", 1), ("2" + "0" * 5000, 100_000),
+], ids=lambda v: ascii(v)[:12])
+def test_span_is_read_by_the_whatwg_non_negative_integer_rules(value, span):
+    # Leading ASCII whitespace, one optional "+", then ASCII digits up to the
+    # first non-digit; a span past the grid's slot cap reads as the cap, and
+    # a colspan is then clamped to 1000.
+    parser = _TableHtmlParser()
+    parser.feed(f'<table><tr><td colspan="{value}" rowspan="{value}">a</td></tr></table>')
+    assert parser.raw_rows[0][0][1:3] == (span, min(span, 1000))
+
+
+def test_colspan_with_a_unit_covers_two_slots():
+    grid = parse_table('<table><tr><td colspan="2px">a</td></tr><tr><td>b</td><td>c</td></tr></table>')
+    assert [grid.row_text(r) for r in range(2)] == [["a", "a"], ["b", "c"]]
+
+
 @pytest.mark.parametrize("html, rows", [
     ('<tr><td rowspan="x" colspan="2">a</td></tr><tr><td>b</td><td>c</td></tr>',
      [["a", "a"], ["b", "c"]]),

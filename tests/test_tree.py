@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+
+import pytest
+
 from docstitch.apply import ResolvedDocument
-from docstitch.pipeline import PipelineConfig
+from docstitch.exporters import export_json
+from docstitch.pipeline import PipelineConfig, run_pipeline
 from docstitch.tree import (
     ExtractiveSummarizer,
     NodeKind,
@@ -269,3 +276,34 @@ def test_node_boxes_cover_every_fragment_at_node_chunk_chars_50(corpus):
             if node.kind == NodeKind.SUBNODE:
                 merged_in_subnodes += sum(e.idx in fragments for e in node.body)
     assert merged_in_subnodes > 0
+
+
+def test_slotted_records_behave_as_before(field_manual):
+    # CanonicalElement and DocNode are slotted: they still pickle at every
+    # protocol (worker processes would pickle elements), copy, replace and
+    # convert with asdict, and refuse an attribute that is not a field.
+    tree = run_pipeline(field_manual, PipelineConfig()).tree
+    text = export_json(tree)
+    node = next(n for n in tree.walk() if n.body and n.children)
+    element = node.body[0]
+    for record in (tree.root, node, element):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record, protocol
+        assert copy.deepcopy(record) == record and copy.copy(record) == record
+        assert replace(record) == record
+        assert asdict(copy.deepcopy(record)) == asdict(record)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.no_such_field = 1  # type: ignore[union-attr]
+        with pytest.raises(AttributeError):
+            del record.no_such_field  # type: ignore[union-attr]
+    assert asdict(element) == {f.name: getattr(element, f.name) for f in fields(element)}
+    assert asdict(node)["body"] == [asdict(e) for e in node.body]
+    assert replace(element, idx=-1) != element and replace(node, level=-1) != node
+    with pytest.raises(FrozenInstanceError):
+        element.idx = 0  # type: ignore[misc]
+    with pytest.raises(FrozenInstanceError):
+        del element.idx  # type: ignore[misc]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert export_json(pickle.loads(pickle.dumps(tree, protocol))) == text
+    assert export_json(copy.deepcopy(tree)) == text
