@@ -9,6 +9,7 @@ fragment geometry, judgement vectors) to audit or undo it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
@@ -22,7 +23,7 @@ from .model import (
     VISUAL_TYPES,
 )
 from .predictors import association_link_valid
-from .tables import TableGrids, merge_grids, parse_table
+from .tables import TableGrid, TableGrids, merge_grids, parse_table
 from .textrules import join_fragments
 
 
@@ -302,39 +303,43 @@ def check_table_conservation(
 ) -> list[str]:
     """Verify each merged table holds every non-dropped cell text.
 
-    The multiset of logical cell texts must be preserved up to (a) fused
-    cells replaced by their recorded join and (b) the dropped repeated
-    header row.  The records are replayed in order, so a table merged from
-    a chain of fragments is checked against all of them.
+    The table records are replayed in order on the tables' grids, so a table
+    merged from a chain of fragments is checked against all of them.  Each
+    merge must keep the multiset of logical cell texts of its two tables as
+    they stood then, up to (a) fused cells replaced by their recorded join
+    and (b) the cells a dropped repeated header row takes with it: the lower
+    table's first-row cells that span no further row.  Each merged table in
+    the document must hold the cells of its replay.
     """
     problems: list[str] = []
     original_by_idx = original.index()
-    expected: dict[int, list[str]] = {}  # cell texts of each table merged so far
+    merged: dict[int, TableGrid] = {}  # each table merged so far, replayed
 
-    def cells(idx: int) -> list[str]:
-        if idx in expected:
-            return expected.pop(idx)
-        return parse_table(original_by_idx[idx].table_html or "").cell_texts()
+    def grid(idx: int) -> TableGrid:
+        if idx in merged:
+            return merged.pop(idx)
+        return parse_table(original_by_idx[idx].table_html or "")
 
     for record in resolved.merge_log.records:
         if record.kind != "table":
             continue
-        lower_idx = record.absorbed[0]
-        lower_cells = cells(lower_idx)
+        upper, lower = grid(record.src_idx), grid(record.absorbed[0])
+        expected = Counter(upper.cell_texts()) + Counter(lower.cell_texts())
         if record.dropped_header:
-            lower = original_by_idx[lower_idx]
-            for cell in parse_table(lower.table_html or "").slice_rows(0, 1).cell_texts():
-                lower_cells.remove(cell)
-        merged_cells = cells(record.src_idx) + lower_cells
+            expected -= Counter(lower.cell_texts()) - Counter(
+                lower.slice_rows(1, lower.n_rows).cell_texts()
+            )
         for fusion in record.fused:
-            merged_cells.remove(fusion["upper"])
-            merged_cells.remove(fusion["lower"])
-            merged_cells.append(fusion["joined"])
-        expected[record.src_idx] = merged_cells
-    for idx, merged_cells in expected.items():
-        merged = resolved.by_idx.get(idx)
-        if merged is None:
+            expected -= Counter((fusion["upper"], fusion["lower"]))
+            expected[fusion["joined"]] += 1
+        outcome = merge_grids(upper, lower, record.judgement or [], join_fragments)
+        if Counter(outcome.grid.cell_texts()) != expected:
+            problems.append(f"table {record.src_idx}: merge of table {record.absorbed[0]} lost cells")
+        merged[record.src_idx] = outcome.grid
+    for idx, replayed in merged.items():
+        table = resolved.by_idx.get(idx)
+        if table is None:
             problems.append(f"merged table {idx} missing")
-        elif sorted(merged_cells) != sorted(parse_table(merged.table_html or "").cell_texts()):
+        elif sorted(replayed.cell_texts()) != sorted(parse_table(table.table_html or "").cell_texts()):
             problems.append(f"table {idx}: cell multiset not conserved")
     return problems
