@@ -29,6 +29,8 @@ from .textrules import join_fragments
 
 @dataclass
 class MergeRecord:
+    """One merge; its fields, in order, are a merge-log record's keys."""
+
     kind: str  # "text" | "table"
     src_idx: int
     absorbed: list[int]
@@ -36,17 +38,6 @@ class MergeRecord:
     judgement: Optional[list[int]] = None
     fused: list[dict] = field(default_factory=list)
     dropped_header: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "src_idx": self.src_idx,
-            "absorbed": self.absorbed,
-            "fragments": self.fragments,
-            "judgement": self.judgement,
-            "fused": self.fused,
-            "dropped_header": self.dropped_header,
-        }
 
 
 @dataclass
@@ -66,7 +57,7 @@ class MergeLog:
 
     def to_dict(self) -> dict:
         return {
-            "records": [r.to_dict() for r in self.records],
+            "records": [vars(r) for r in self.records],
             "remap": {str(k): v for k, v in sorted(self.remap.items())},
         }
 
@@ -233,7 +224,7 @@ def assign_levels(resolved: ResolvedDocument, levels: dict[int, int]) -> Resolve
             resolved.flags.append(Flag("LevelClamped", f"{idx}:{level}"))
             level = 1
         if level == -1:
-            by_idx[idx] = by_idx[idx].with_type(ElementType.TEXT)
+            by_idx[idx] = replace(by_idx[idx], etype=ElementType.TEXT)
             continue
         stored[idx] = level
         prev_level = level

@@ -172,15 +172,18 @@ def synchronize_hierarchy(chunk_preds: Sequence[ChunkPrediction]) -> SyncResult:
     The initial chunk is the anchor.  Each later chunk is shifted by the
     rounded average difference between already-calibrated levels and its own
     raw levels over the overlap titles; overlap disagreements resolve to the
-    earlier chunk.  Demoted titles (level -1) neither shift nor contribute
-    to the deviation.  Final levels are clamped to >= 1.
+    earlier chunk, and conflicts record levels as calibrated.  A demoted
+    title (raw level -1) neither shifts nor contributes to the deviation,
+    and stays -1.  Every other final level is clamped to >= 1, so a title
+    calibrated to -1 is not demoted.
     """
     rule = _EarliestWins("idx")
     final = rule.values
+    demoted: set[int] = set()  # titles whose kept level is a raw -1
     result = SyncResult(levels=final, conflicts=rule.conflicts)
     for k, pred in enumerate(_in_chunk_order(chunk_preds)):
         raw: dict[int, int] = dict(pred.payload)
-        overlap = [i for i in raw if i in final and raw[i] != -1 and final[i] != -1]
+        overlap = [i for i in raw if i in final and raw[i] != -1 and i not in demoted]
         deviation = 0
         if overlap:
             deviation = round_half_away(sum(final[i] - raw[i] for i in overlap) / len(overlap))
@@ -188,9 +191,11 @@ def synchronize_hierarchy(chunk_preds: Sequence[ChunkPrediction]) -> SyncResult:
             result.empty_overlaps.append(pred.chunk_index)
         result.deviations.append(deviation)
         for i, lvl in raw.items():
+            if lvl == -1 and i not in final:
+                demoted.add(i)
             rule.offer(i, lvl if lvl == -1 else lvl + deviation, pred.chunk_index)
     for i, lvl in final.items():
-        if lvl != -1 and lvl < 1:
+        if lvl < 1 and i not in demoted:
             final[i] = 1
     return result
 

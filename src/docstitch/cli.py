@@ -79,9 +79,9 @@ def _formats(value: str) -> list[str]:
 
 # Each settings flag: the config (section, key) whose rule reads its value,
 # how the flag's text becomes a value of the config file's kind (an integer
-# as ``model.int_key`` reads it), and its argparse options.  The flag's text
-# is stored in ``args.settings`` under the flag, so only the flags given are
-# there.
+# as ``model.int_key`` reads it), and its argparse options.  A flag has no
+# default, so only the flags given are in the parsed namespace, in
+# command-line order.
 SETTINGS_FLAGS: dict[
     str, tuple[tuple[Optional[str], str], Callable[[str], object], dict]
 ] = {
@@ -96,20 +96,11 @@ SETTINGS_FLAGS: dict[
 }
 
 
-class _Setting(argparse.Action):
-    """Store a settings flag's value in ``args.settings`` under the flag."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.settings = {**namespace.settings, self.option_strings[0]: values}
-
-
 def _add_settings(parser: argparse.ArgumentParser, *flags: str) -> None:
     """Give ``parser`` --config and the settings ``flags``."""
     parser.add_argument("--config", default=None)
     for flag in flags:
-        options = SETTINGS_FLAGS[flag][2]
-        parser.add_argument(flag, action=_Setting, default=argparse.SUPPRESS, **options)
-    parser.set_defaults(settings={})
+        parser.add_argument(flag, default=argparse.SUPPRESS, **SETTINGS_FLAGS[flag][2])
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -125,7 +116,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     env_url = os.environ.get(BACKEND_URL_ENV_VAR)
     if env_url:
         flags["predictor", "backend_url"] = (BACKEND_URL_ENV_VAR, env_url)
-    for flag, text in args.settings.items():
+    for dest, text in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
+        if flag not in SETTINGS_FLAGS:
+            continue
         key, read, _ = SETTINGS_FLAGS[flag]
         try:
             flags[key] = (flag, read(text))

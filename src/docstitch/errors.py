@@ -76,9 +76,6 @@ class Flag(str):
         self.code, self.detail, self.subtask, self.chunk = code, detail, subtask, chunk
         return self
 
-    def __deepcopy__(self, memo: dict) -> Flag:
-        return self  # never changed once built, so asdict need not rebuild it
-
 
 # What a reader's conversions raise on a missing key or on a value of the wrong
 # type, shape or range; every JSON reader turns them into its code with bad_field.

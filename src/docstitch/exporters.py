@@ -238,21 +238,16 @@ def _render_node(node: DocNode, out: list[str]) -> None:
         _render_visual(node, out)
         return
 
-    items: list[tuple[int, str, object]] = []
-    for e in node.body:
-        items.append((e.idx, "para", e))
-    for child in node.children:
-        items.append((child.anchor, "node", child))
-    items.sort(key=lambda it: it[0])
-
-    for _, kind, payload in items:
-        if kind == "para":
-            element: CanonicalElement = payload  # type: ignore[assignment]
-            if element.content:
-                out.append(element.content)
-                out.append("")
-        else:
-            _render_node(payload, out)  # type: ignore[arg-type]
+    # Body elements and child nodes in reading order; the sort is stable, so
+    # an element comes before a child anchored at its idx.
+    items: list[CanonicalElement | DocNode] = [*node.body, *node.children]
+    items.sort(key=lambda item: item.anchor if isinstance(item, DocNode) else item.idx)
+    for item in items:
+        if isinstance(item, DocNode):
+            _render_node(item, out)
+        elif item.content:
+            out.append(item.content)
+            out.append("")
 
 
 def export_markdown(tree: DocTree) -> str:

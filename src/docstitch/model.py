@@ -9,7 +9,7 @@ all reference blocks by ``idx``).
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, asdict, dataclass, field, replace
+from dataclasses import FrozenInstanceError, asdict, dataclass, field
 from enum import Enum
 from math import isfinite
 from typing import Iterable, Optional
@@ -205,9 +205,6 @@ class CanonicalElement:
     bbox: BBox
     table_html: Optional[str] = None
     asset_ref: Optional[str] = None
-
-    def with_type(self, etype: ElementType) -> CanonicalElement:
-        return replace(self, etype=etype)
 
     def to_dict(self) -> dict:
         out = {

@@ -40,6 +40,7 @@ from .model import (
     CanonicalDocument,
     CanonicalElement,
     ElementType,
+    MAX_PAGES,
     PageIndex,
     json_int,
     json_number,
@@ -207,7 +208,7 @@ class RunReport:
     realized_overlaps: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -227,11 +228,15 @@ def make_predictor(cfg: PipelineConfig) -> Predictor:
     return FallbackPredictor(remote, rules)
 
 
-def _page_density(doc: CanonicalDocument, types: frozenset[ElementType]) -> PageProfile:
-    counts = [0] * doc.page_count
+def _page_density(
+    doc: CanonicalDocument, types: frozenset[ElementType], low: int, high: int
+) -> PageProfile:
+    """Per-page counts of ``types`` over pages ``low..high``, which hold
+    every element's page; count i is page ``low + i``'s."""
+    counts = [0] * (high - low + 1)
     for e in doc.elements:
-        if e.etype in types and 0 <= e.page < doc.page_count:
-            counts[e.page] += 1
+        if e.etype in types:
+            counts[e.page - low] += 1
     return PageProfile(counts)
 
 
@@ -241,9 +246,10 @@ class _Run:
 
     filters: FilterConfig
     index: PageIndex
-    report: RunReport
     grids: TableGrids = field(default_factory=TableGrids)
-    skipped: set[tuple[int, int]] = field(default_factory=set)  # pairs in report.skipped_tables
+    # Each unparseable table pair's skip record, by (upper, lower) pair, as
+    # the first chunk that saw the pair gave it.
+    skipped: dict[tuple[int, int], dict] = field(default_factory=dict)
 
 
 Elements = list[CanonicalElement]
@@ -266,10 +272,7 @@ def _table_requests(run: _Run, chunk: int, elements: Elements) -> list[tuple[Any
     judgement replayed into every chunk that saw it."""
     tables = filter_table_truncation_candidates(elements, run.filters, run.grids)
     for skip in tables.skipped:
-        pair = (skip["upper_idx"], skip["lower_idx"])
-        if pair not in run.skipped:
-            run.skipped.add(pair)
-            run.report.skipped_tables.append(skip)
+        run.skipped.setdefault((skip["upper_idx"], skip["lower_idx"]), skip)
     return [((cand.upper_idx, cand.lower_idx), cand) for cand in tables.candidates]
 
 
@@ -325,12 +328,26 @@ SUBTASKS = (
 
 
 def plan_subtasks(doc: CanonicalDocument, cfg: PipelineConfig) -> dict[str, ChunkPlan]:
-    """Each subtask's chunk plan, labelled with the subtask's element type."""
+    """Each subtask's chunk plan, labelled with the subtask's element type.
+
+    The plans cover pages ``0..page_count-1``, widened to the lowest and
+    highest element page, so an element on a page outside the declared
+    range lies in a chunk like any other.  Like ``page_count``, the span is
+    bounded by ``MAX_PAGES``; a wider one raises MalformedInput.
+    """
+    pages = [e.page for e in doc.elements]
+    low, high = min([0, *pages]), max([doc.page_count - 1, *pages])
+    if high - low + 1 > MAX_PAGES:
+        raise MalformedInput(f"elements span pages {low} to {high}, over {MAX_PAGES} pages")
     chunking = ChunkPlanConfig(stride=cfg.stride, threshold=cfg.threshold)
-    return {
-        task.name: plan_chunks(_page_density(doc, task.density_types), chunking, task.plan_type)
-        for task in SUBTASKS
-    }
+    plans = {}
+    for task in SUBTASKS:
+        profile = _page_density(doc, task.density_types, low, high)
+        plan = plans[task.name] = plan_chunks(profile, chunking, task.plan_type)
+        if low:  # the profile starts at page low; plans name the pages themselves
+            plan.boundaries = [b + low for b in plan.boundaries]
+            plan.chunks = [(start + low, end + low) for start, end in plan.chunks]
+    return plans
 
 
 def thread_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
@@ -364,7 +381,7 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
     # One page index and one parse of each table serve every chunk.  Every
     # request is built up front so remote calls can be issued concurrently;
     # the rule baseline runs them inline.
-    run = _Run(cfg.filters, PageIndex(doc), report)
+    run = _Run(cfg.filters, PageIndex(doc))
     jobs: dict[tuple[str, Any], tuple[str, Any]] = {}
     chunk_keys: dict[str, list[tuple[int, list[Any]]]] = {}
     for task in SUBTASKS:
@@ -376,6 +393,7 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
                 keys.append(key)
             if keys:
                 chunk_keys[task.name].append((chunk, keys))
+    report.skipped_tables = list(run.skipped.values())
 
     def predict(job: tuple[str, Any]) -> Any:
         method, request = job

@@ -259,27 +259,27 @@ def parse_table(html: str) -> TableGrid:
 class TableGrids:
     """Parsed table elements for one run: each table's HTML is parsed once.
 
-    Grids are keyed by element idx and tied to the HTML they were parsed
-    from, so a table rewritten by a merge is parsed afresh.  Parse failures
-    are kept too and raise again on every lookup.  Grids are shared, so
-    callers must not mutate them.
+    Grids are keyed by the HTML text they were parsed from, so a table
+    rewritten by a merge is parsed afresh.  Parse failures are kept too and
+    raise again on every lookup.  Grids are shared, so callers must not
+    mutate them.
     """
 
     def __init__(self) -> None:
-        self._parsed: dict[int, tuple[str, TableGrid | str]] = {}
+        self._parsed: dict[str, TableGrid | str] = {}
 
     def grid(self, table: CanonicalElement) -> TableGrid:
         html = table.table_html or ""
-        hit = self._parsed.get(table.idx)
-        if hit is None or hit[0] != html:
+        hit = self._parsed.get(html)
+        if hit is None:
             try:
-                hit = (html, parse_table(html))
+                hit = parse_table(html)
             except TableHtmlUnparseable as exc:
-                hit = (html, exc.message)
-            self._parsed[table.idx] = hit
-        if isinstance(hit[1], str):
-            raise TableHtmlUnparseable(hit[1])
-        return hit[1]
+                hit = exc.message
+            self._parsed[html] = hit
+        if isinstance(hit, str):
+            raise TableHtmlUnparseable(hit)
+        return hit
 
 
 @dataclass

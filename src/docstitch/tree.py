@@ -249,8 +249,6 @@ def chunk_nodes(tree: DocTree, threshold: int) -> DocTree:
 class Summarizer:
     """One-operation interface: a list of paragraphs in, a summary out."""
 
-    name = "abstract"
-
     def summarize(self, node_id: str, title_path: list[str], paragraphs: list[str]) -> str:
         raise NotImplementedError
 
@@ -260,8 +258,6 @@ class Summarizer:
 
 class ExtractiveSummarizer(Summarizer):
     """Lead-sentence fallback: first N sentences, hard-capped in length."""
-
-    name = "extractive"
 
     def __init__(self, max_sentences: int = 2, cap_chars: int = 300, rules: Optional[TextRules] = None):
         self.max_sentences = max_sentences
@@ -278,8 +274,6 @@ class ExtractiveSummarizer(Summarizer):
 
 class RemoteSummarizer(Summarizer):
     """Backend summarizer sharing the predictor HTTP conventions."""
-
-    name = "remote"
 
     def __init__(self, url: str, timeout: float = 30.0, cap_chars: int = 300):
         self.connections = remote.Connections(url, timeout)

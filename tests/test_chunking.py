@@ -179,6 +179,22 @@ def test_sync_minus_one_passes_through_unshifted():
     assert result.levels[6] == 3
 
 
+def test_sync_title_calibrated_to_minus_one_is_not_demoted():
+    # Deviation -2 takes title 3 to -1 and title 4 to 0.  Only a raw -1
+    # demotes, so both are clamped to 1: title 3 stays a title.
+    preds = [ChunkPrediction(0, {1: 1, 2: 1}), ChunkPrediction(1, {2: 3, 3: 1, 4: 2})]
+    result = synchronize_hierarchy(preds)
+    assert result.levels == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert result.deviations == [0, -2]
+
+    # A calibrated -1 counts in a later chunk's overlap: title 3 sets chunk
+    # 2's deviation to -1 - 2.
+    result = synchronize_hierarchy([*preds, ChunkPrediction(2, {3: 2, 5: 5})])
+    assert result.levels == {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}
+    assert result.deviations == [0, -2, -3]
+    assert result.empty_overlaps == []
+
+
 def test_sync_clamps_final_levels_to_one():
     preds = [
         ChunkPrediction(0, {1: 1, 2: 1}),

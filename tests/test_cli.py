@@ -647,9 +647,11 @@ def test_process_reports_every_chunk_conflict(tmp_path):
         (17, 1, 6, 1), (33, 6, 23, 2), (35, 6, 23, 2), (39, 6, 23, 2),
         (33, 6, 28, 3), (35, 6, 28, 3), (39, 6, 28, 3),
     ])
-    # Levels are recorded as calibrated, before the final clamp to >= 1.
+    # Levels are recorded as calibrated, before the final clamp to >= 1.  A
+    # title calibrated to -1 (43 and 46 in chunk 3) stays a title, and counts
+    # in chunk 4's deviation.
     assert report["sync"] == {
-        "deviations": [0, -1, -3, -2, 10],
+        "deviations": [0, -1, -3, -2, 3],
         "empty_overlaps": [],
         "conflicts": _conflicts("idx", [
             (1, 1, 0, 1), (2, 10, 11, 1), (4, 1, 0, 1), (6, 10, 11, 1), (8, 1, 0, 1),
@@ -658,9 +660,12 @@ def test_process_reports_every_chunk_conflict(tmp_path):
             (16, 1, 13, 2), (19, 11, -2, 2), (21, 0, 13, 2),
             (23, -2, -1, 3), (26, 13, 11, 3), (28, -2, -1, 3), (30, 13, 11, 3),
             (31, -2, -1, 3), (36, 13, 11, 3), (38, -2, -1, 3),
-            (43, -1, 16, 4), (46, -1, 16, 4),
+            (41, 11, 4, 4), (43, -1, 9, 4), (44, 11, 4, 4), (46, -1, 9, 4), (47, 11, 4, 4),
         ]),
     }
+    # The backend never answers -1, so no title is demoted.
+    predictions = json.loads((tmp_path / "out" / "field_manual.predictions.json").read_text())
+    assert min(predictions["hierarchy"].values()) == 1
     assert {tuple(c) for c in report["union_conflicts"]} == {("src", "kept", "discarded", "chunk")}
     assert {tuple(c) for c in report["sync"]["conflicts"]} == {("idx", "kept", "discarded", "chunk")}
 
@@ -1313,6 +1318,22 @@ def test_settings_flag_is_read_by_its_config_keys_rule(tmp_path, capsys, flag, k
         assert err["error"]["code"] == "cli.ConfigError"
         assert f"bad {where} field" in err["error"]["message"]
         assert not out.exists()
+
+
+def test_first_bad_settings_flag_on_the_command_line_is_named(tmp_path, capsys):
+    memo = str(CORPUS_DIR / "memo_single.json")
+    for flags, named in (
+        (["--threshold", "x", "--stride", "y"], "--threshold"),
+        (["--stride", "y", "--threshold", "x"], "--stride"),
+    ):
+        for argv in (
+            ["process", memo, *flags, "--out-dir", str(tmp_path / "out")],
+            ["inspect-chunks", memo, *flags],
+        ):
+            assert run_cli(*argv) == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["code"] == "cli.ConfigError"
+            assert f"bad {named} field" in err["message"], argv
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import docstitch.apply
 import docstitch.pipeline
@@ -13,14 +15,15 @@ import docstitch.predictors.remote
 import docstitch.predictors.rules
 import docstitch.tables
 from docstitch.apply import check_table_conservation
-from docstitch.errors import ConfigError
-from docstitch.model import ElementType, validate_document
-from docstitch.pipeline import PipelineConfig, run_pipeline
+from docstitch.chunking import ChunkPlanConfig, PageProfile, plan_chunks
+from docstitch.errors import ConfigError, MalformedInput
+from docstitch.model import MAX_PAGES, ElementType, validate_document
+from docstitch.pipeline import SUBTASKS, PipelineConfig, plan_subtasks, run_pipeline
 from docstitch.predictors.rules import RulePredictor
 from docstitch.tree import NodeKind, RemoteSummarizer, summarize_nodes
 
 from .conftest import load_corpus_doc
-from .helpers import stack_elements
+from .helpers import doc as document, el, stack_elements
 from .mock_backend import MockBackend
 
 
@@ -445,3 +448,58 @@ def test_chained_table_pair_follows_its_absorbed_upper():
     assert check_table_conservation(doc, result.resolved) == []
     [table] = [n for n in result.tree.walk() if n.kind == NodeKind.VISUAL]
     assert [page for page, _ in table.bboxes] == [0, 1, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    page_count=st.integers(min_value=1, max_value=6),
+    stride=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_every_element_page_lies_in_a_chunk_of_every_plan(page_count, stride, data):
+    """Pages drawn from -2 to page_count + 2, so some lie outside the
+    declared range (PageOutOfRange) and some documents start below 0."""
+    types = st.sampled_from(["title", "text", "image", "table", "image_caption"])
+    pages = st.integers(min_value=-2, max_value=page_count + 2)
+    blocks = data.draw(st.lists(st.tuples(types, pages), min_size=1, max_size=12))
+    threshold = data.draw(st.integers(min_value=0, max_value=stride - 1))
+    d = document("span", page_count, [
+        el(i, etype, "x", page, table_html="<table><tr><td>a</td></tr></table>"
+           if etype == "table" else None)
+        for i, (etype, page) in enumerate(blocks)
+    ])
+    plans = plan_subtasks(d, PipelineConfig(stride=stride, threshold=threshold))
+    for name, plan in plans.items():
+        for e in d.elements:
+            assert any(start <= e.page <= end for start, end in plan.chunks), (name, e.page)
+    # Pages 0..page_count-1 stay covered, and a document whose elements all
+    # lie in them keeps the plan of its declared pages.
+    for plan in plans.values():
+        assert plan.chunks[0][0] <= 0 and plan.chunks[-1][1] >= page_count - 1
+    if all(0 <= e.page < page_count for e in d.elements):
+        cfg = ChunkPlanConfig(stride, threshold)
+        for task in SUBTASKS:
+            counts = [0] * page_count
+            for e in d.elements:
+                counts[e.page] += e.etype in task.density_types
+            expected = plan_chunks(PageProfile(counts), cfg, task.plan_type)
+            assert plans[task.name] == expected
+
+
+def test_title_past_the_last_page_gets_a_level():
+    d = document("oob", 2, [el(0, "title", "A", 0), el(1, "title", "B", 1), el(2, "title", "C", 2)])
+    assert [v.code for v in validate_document(d).violations] == ["PageOutOfRange"]
+    result = run_pipeline(d, PipelineConfig(stride=2, threshold=0))
+    assert sorted(result.predictions.hierarchy) == [0, 1, 2]
+    assert result.report.warnings == []
+    assert all(plan.chunks[-1][1] == 2 for plan in result.chunk_plans.values())
+
+
+def test_element_page_span_is_bounded_like_page_count():
+    # One element on a far page would otherwise size every page profile.
+    widest = document("far", 1, [el(0, "text", "x", 0), el(1, "text", "y", MAX_PAGES - 1)])
+    assert plan_subtasks(widest, PipelineConfig())["text"].chunks[-1][1] == MAX_PAGES - 1
+    for page in (MAX_PAGES, -MAX_PAGES, 2**53 - 1):
+        far = document("far", 1, [el(0, "text", "x", 0), el(1, "text", "y", page)])
+        with pytest.raises(MalformedInput, match="span pages"):
+            run_pipeline(far, PipelineConfig())
