@@ -52,11 +52,24 @@ def _write_pretty(obj: object, f: TextIO) -> None:
     f.write("\n")
 
 
+# Characters per write to stdout: at most 4 KiB of UTF-8, which fits its
+# buffer and is one atomic write to a pipe.  A larger write that the
+# reader cuts short loses its rest with no error, as the buffer reports a
+# short count that the text layer drops; a small one fails whole.
+_STDOUT_SLICE = 1024
+
+
+def _write_stdout(text: str) -> None:
+    for start in range(0, len(text), _STDOUT_SLICE):
+        sys.stdout.write(text[start:start + _STDOUT_SLICE])
+
+
 def _dump(obj: object, path: Optional[Path] = None) -> None:
     """Write ``dumps_pretty(obj) + "\\n"`` to ``path``, or to stdout, in
     bounded pieces: the whole text is never held at once."""
     if path is None:
-        _write_pretty(obj, sys.stdout)
+        write_pretty(obj, _write_stdout)
+        sys.stdout.write("\n")
     else:
         _write_file(path, lambda f: _write_pretty(obj, f))
 
@@ -253,7 +266,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.out:
         _write_text(Path(args.out), text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 0
 
 
@@ -318,9 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone away shows here, not at exit
+        return status
     except DocstitchError as exc:
         return _write_error(exc)
+    except BrokenPipeError:
+        # stdout's reader went away, as in ``docstitch ... | head``: the
+        # output is cut short, so the command fails, but quietly.  stdout
+        # is pointed at the null device, or the interpreter's last flush
+        # of it would fail again.  SIGPIPE keeps Python's handler, so a
+        # backend socket that its server closed still raises the error
+        # the remote predictor handles.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

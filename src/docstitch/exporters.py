@@ -20,6 +20,7 @@ from .model import (
     CanonicalElement,
     CoordUnit,
     ElementType,
+    SharedValues,
     check_strings,
     json_int,
     json_str,
@@ -173,7 +174,7 @@ def export_json(tree: DocTree) -> str:
     return "".join(pieces)
 
 
-def _node_from_dict(d: dict) -> DocNode:
+def _node_from_dict(d: dict, values: SharedValues) -> DocNode:
     node = DocNode(
         node_id=json_str(d["node_id"]),
         kind=json_str(d["kind"]),
@@ -182,9 +183,9 @@ def _node_from_dict(d: dict) -> DocNode:
         title_text=d.get("title"),
         title_path=list(string_list(d.get("title_path", []))),
         summary=d.get("summary"),
-        body=[CanonicalElement.from_dict(e) for e in d.get("body", [])],
+        body=[CanonicalElement.from_dict(e, values) for e in d.get("body", [])],
         bboxes=page_boxes(d.get("bboxes", [])),  # type: ignore[arg-type]
-        children=[_node_from_dict(c) for c in d.get("children", [])],
+        children=[_node_from_dict(c, values) for c in d.get("children", [])],
     )
     check_strings(node.title_text, node.summary, *node.title_path)
     return node
@@ -196,7 +197,7 @@ def tree_from_dict(doc: dict) -> DocTree:
         return DocTree(
             doc_id=json_str(doc["doc_id"]),
             coord_unit=CoordUnit(doc["coord_unit"]),
-            root=_node_from_dict(doc["root"]),
+            root=_node_from_dict(doc["root"], SharedValues()),
         )
     except BAD_FIELD as exc:
         raise bad_field(MalformedInput, "tree", exc) from exc

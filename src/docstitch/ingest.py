@@ -32,20 +32,19 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from .errors import BAD_FIELD, BBoxInvalid, MalformedInput, SchemaUnknown, bad_field
 from .jsonio import read_json
 from .model import (
+    BBox,
     CanonicalDocument,
     CanonicalElement,
     CoordUnit,
     ElementType,
-    bbox_is_valid,
-    bbox_of,
+    SharedValues,
     check_strings,
     doc_id_of,
-    json_int,
     json_str,
     page_count_of,
     string_list,
@@ -189,6 +188,7 @@ def normalize_elements(
 
     report = NormalizationReport()
     elements: list[CanonicalElement] = []
+    values = SharedValues()
     idx = 0
     for pos, block in enumerate(blocks):
         if not isinstance(block, dict):
@@ -211,7 +211,11 @@ def normalize_elements(
         bbox_raw = profile.pick(block, "bbox")
         if bbox_raw is None:
             raise MalformedInput(f"block #{pos} is missing its bbox field")
-        if not bbox_is_valid(bbox_raw):
+        try:
+            bbox: Optional[BBox] = values.bbox(bbox_raw)
+        except BAD_FIELD:
+            bbox = None
+        if bbox is None or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
             raise BBoxInvalid(f"block #{pos} has invalid bbox {bbox_raw!r}")
 
         content = profile.pick(block, "content")
@@ -230,8 +234,8 @@ def normalize_elements(
                 idx=idx,
                 etype=etype,
                 content=content,
-                page=_checked(f"block #{pos}", json_int, page, key="page"),
-                bbox=bbox_of(bbox_raw),
+                page=_checked(f"block #{pos}", values.page, page, key="page"),
+                bbox=bbox,
                 table_html=table_html,
                 asset_ref=asset_ref,
             )

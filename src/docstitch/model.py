@@ -146,6 +146,42 @@ def bbox_is_valid(bbox: object) -> bool:
     return x0 < x1 and y0 < y1
 
 
+class SharedValues:
+    """One object per distinct page number, coordinate and box of one
+    document, for its elements to share: a long document repeats a few
+    hundred boxes, and fewer coordinates, over thousands of elements.
+
+    Each value is read by ``json_int`` or ``bbox_of`` first, so sharing
+    changes no value, its type or its sign.  Pages and coordinates have
+    separate tables, as ``1 == 1.0`` would turn a page into a float.  A
+    zero coordinate is never shared, nor a box that holds one, as
+    ``0.0 == -0.0`` would turn a ``-0.0`` into ``0.0``.
+    """
+
+    __slots__ = ("_pages", "_coords", "_boxes")
+
+    def __init__(self) -> None:
+        self._pages: dict[int, int] = {}
+        self._coords: dict[float, float] = {}
+        self._boxes: dict[BBox, BBox] = {}
+
+    def page(self, value: object) -> int:
+        page = json_int(value)
+        return self._pages.setdefault(page, page)
+
+    def bbox(self, value: object) -> BBox:
+        box = bbox_of(value)
+        # No stored box holds a zero, so a box with a zero finds none.
+        shared = self._boxes.get(box)
+        if shared is not None:
+            return shared
+        coords = self._coords
+        box = tuple(coords.setdefault(v, v) if v else v for v in box)  # type: ignore[assignment]
+        if box[0] and box[1] and box[2] and box[3]:
+            self._boxes[box] = box
+        return box
+
+
 def page_boxes(value: object) -> list[PageBox]:
     """``[[page, [x0, y0, x1, y1]], ...]``: an integer page and a bbox each."""
     if type(value) is not list:
@@ -219,15 +255,19 @@ class CanonicalElement:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> CanonicalElement:
+    def from_dict(cls, d: dict, values: Optional[SharedValues] = None) -> CanonicalElement:
+        """``values`` shares the page and box with the document's other
+        elements; without it, nothing is shared."""
+        if values is None:
+            values = SharedValues()
         # Arguments evaluate in field order, so the first bad field is the
         # one a MalformedInput names.
         element = cls(
             json_int(d["idx"]),
             ElementType(d["type"]),
             "" if (content := d.get("content")) is None else content,
-            json_int(d["page"]),
-            bbox_of(d["bbox"]),
+            values.page(d["page"]),
+            values.bbox(d["bbox"]),
             d.get("table_html"),
             d.get("asset_ref"),
         )
@@ -281,8 +321,9 @@ class CanonicalDocument:
         pos = None
         try:
             elements = []
+            values = SharedValues()
             for pos, e in enumerate(d["elements"]):
-                elements.append(CanonicalElement.from_dict(e))
+                elements.append(CanonicalElement.from_dict(e, values))
             pos = None
             return cls(
                 doc_id=doc_id_of(d["doc_id"]),

@@ -245,7 +245,6 @@ class _Run:
     """What one run's request builders share across chunks."""
 
     filters: FilterConfig
-    index: PageIndex
     grids: TableGrids = field(default_factory=TableGrids)
     # Each unparseable table pair's skip record, by (upper, lower) pair, as
     # the first chunk that saw the pair gave it.
@@ -380,19 +379,22 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
 
     # One page index and one parse of each table serve every chunk.  Every
     # request is built up front so remote calls can be issued concurrently;
-    # the rule baseline runs them inline.
-    run = _Run(cfg.filters, PageIndex(doc))
+    # the rule baseline runs them inline.  Each intermediate below is freed
+    # once its last reader is done, which lowers the run's peak memory.
+    run = _Run(cfg.filters)
+    index = PageIndex(doc)
     jobs: dict[tuple[str, Any], tuple[str, Any]] = {}
     chunk_keys: dict[str, list[tuple[int, list[Any]]]] = {}
     for task in SUBTASKS:
         chunk_keys[task.name] = []
         for chunk, span in enumerate(plans[task.name].chunks):
             keys = []
-            for key, request in task.requests(run, chunk, run.index.on_pages(*span)):
+            for key, request in task.requests(run, chunk, index.on_pages(*span)):
                 jobs.setdefault((task.name, key), (task.method, request))
                 keys.append(key)
             if keys:
                 chunk_keys[task.name].append((chunk, keys))
+    del index
     report.skipped_tables = list(run.skipped.values())
 
     def predict(job: tuple[str, Any]) -> Any:
@@ -415,6 +417,7 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
                 report.warnings.extend(Flag(f.code, f.detail, task.name, chunk) for f in out.flags)
                 payload.extend(task.payload(key, out))
             chunk_preds[task.name].append(ChunkPrediction(chunk, payload))
+    del jobs, chunk_keys, results
 
     sync = synchronize_hierarchy(chunk_preds["hierarchy"])
     text = merge_union(chunk_preds["text"])
@@ -429,11 +432,10 @@ def run_pipeline(doc: CanonicalDocument, cfg: PipelineConfig) -> PipelineResult:
         "conflicts": sync.conflicts,
     }
     report.union_conflicts = text.conflicts + assoc.conflicts + tables.conflicts
+    del chunk_preds, sync, text, assoc, tables
 
     resolved = apply_predictions(doc, predictions, run.grids)
-    # Nothing below reads the parsed tables, the requests or the raw
-    # predictions; freeing them before the tree is built lowers the peak.
-    del run, jobs, results
+    del run
 
     tree = build_tree(resolved)
     chunk_nodes(tree, cfg.node_chunk_chars)

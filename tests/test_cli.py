@@ -335,6 +335,49 @@ def test_export_phase_frees_the_tree_and_streams_the_merge_log(tmp_path, monkeyp
     assert merge_log_peaks[0] < size / 2, (merge_log_peaks, size)
 
 
+def test_process_peak_memory_of_a_600_page_report(tmp_path, monkeypatch):
+    # Each document shares one object per distinct page, coordinate and
+    # box, and the run frees each intermediate after its last read, so a
+    # 600-page report's traced peak stays under 3.15 MB: 2.7 to 2.9 MB on
+    # Python 3.10 to 3.13, and 3.36 to 3.5 MB with neither.  The first run
+    # fills the import and profile caches.
+    report = generated_report(tmp_path, monkeypatch, 600)
+    out = tmp_path / "out"
+    assert run_cli("process", str(report), "--out-dir", str(out)) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli("process", str(report), "--out-dir", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_150_000, peak
+
+
+@pytest.mark.parametrize("command", ["inspect-chunks", "export"])
+def test_closed_stdout_fails_quietly(tmp_path, monkeypatch, command):
+    # The reader of stdout goes away after 10 bytes, as with ``| head -c
+    # 10``: the command exits 1 with nothing on stderr, no traceback.  Each
+    # output is over twice a 64 KiB pipe's capacity, so a write fails.
+    report = generated_report(tmp_path, monkeypatch, 600)
+    if command == "export":
+        assert run_cli("process", str(report), "--format", "json", "--out-dir", str(tmp_path)) == 0
+        argv = ["export", str(tmp_path / "report600.tree.json"), "--format", "json"]
+    else:
+        argv = ["inspect-chunks", str(report), "--stride", "1", "--threshold", "0"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "docstitch.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    with proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
 def test_process_accepts_raw_input_with_profile(tmp_path):
     code = run_cli(
         "process", str(RAW / "mineru_blocks.json"),

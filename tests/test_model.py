@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docstitch.ingest import normalize_elements
 from docstitch.model import (
     MAX_JSON_INT,
     CanonicalDocument,
+    CanonicalElement,
+    ElementType,
     PageIndex,
     bbox_is_valid,
     bbox_of,
@@ -161,3 +164,46 @@ def test_bbox_of_takes_4_finite_numbers_as_floats():
     assert not bbox_is_valid([0, 0, float("nan"), 1])
     assert not bbox_is_valid(["0", "0", "1", "1"])
     assert bbox_is_valid((0.0, 0.0, 1.0, 1.0))
+
+
+# -- shared pages, coordinates and boxes -------------------------------------
+
+# A small pool, so that values repeat: zeros of both signs, ints equal to
+# floats, and pages equal to coordinates.
+_COORDS = [0, 0.0, -0.0, 1, 1.0, 2.5, 60, 60.0, 300.0, -7.5]
+_SPAN = st.sampled_from([(low, high) for low in _COORDS for high in _COORDS if low < high])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0, 1, 2, 60, 300, 301]), _SPAN, _SPAN),
+        min_size=1, max_size=12,
+    )
+)
+def test_shared_values_change_no_value(blocks):
+    raw = [
+        {"type": "text", "content": f"b{i}", "page": page, "bbox": [x0, y0, x1, y1]}
+        for i, (page, (x0, x1), (y0, y1)) in enumerate(blocks)
+    ]
+    expected = [
+        CanonicalElement(i, ElementType.TEXT, b["content"], json_int(b["page"]), bbox_of(b["bbox"]))
+        for i, b in enumerate(raw)
+    ]
+    canonical = {"doc_id": "d", "page_count": 302, "elements": [{"idx": i, **b} for i, b in enumerate(raw)]}
+    for loaded in (
+        CanonicalDocument.from_dict(canonical).elements,
+        normalize_elements(raw, "generic").document.elements,
+    ):
+        assert loaded == expected
+        assert [repr(e.bbox) for e in loaded] == [repr(e.bbox) for e in expected]
+        assert all(type(e.page) is int for e in loaded)
+        # Equal boxes, and equal coordinates, with no zero are one object.
+        boxes: dict = {}
+        coords: dict = {}
+        for e in loaded:
+            if all(e.bbox):
+                assert boxes.setdefault(e.bbox, e.bbox) is e.bbox
+            for v in e.bbox:
+                if v:
+                    assert coords.setdefault(v, v) is v
