@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
@@ -59,9 +60,20 @@ def _write_pretty(obj: object, f: TextIO) -> None:
 _STDOUT_SLICE = 1024
 
 
-def _write_stdout(text: str) -> None:
-    for start in range(0, len(text), _STDOUT_SLICE):
-        sys.stdout.write(text[start:start + _STDOUT_SLICE])
+class _StdoutClosed(Exception):
+    """stdout's reader went away, as in ``docstitch ... | head``."""
+
+
+def _write_stdout(text: str, flush: bool = False) -> None:
+    """Write ``text`` to stdout, then flush it if ``flush``; a broken pipe
+    here, and only here, is raised as ``_StdoutClosed``."""
+    try:
+        for start in range(0, len(text), _STDOUT_SLICE):
+            sys.stdout.write(text[start:start + _STDOUT_SLICE])
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
 
 
 def _dump(obj: object, path: Optional[Path] = None) -> None:
@@ -69,7 +81,7 @@ def _dump(obj: object, path: Optional[Path] = None) -> None:
     bounded pieces: the whole text is never held at once."""
     if path is None:
         write_pretty(obj, _write_stdout)
-        sys.stdout.write("\n")
+        _write_stdout("\n")
     else:
         _write_file(path, lambda f: _write_pretty(obj, f))
 
@@ -332,19 +344,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         status = args.func(args)
-        sys.stdout.flush()  # a reader gone away shows here, not at exit
+        _write_stdout("", flush=True)  # a reader gone away shows here, not at exit
         return status
     except DocstitchError as exc:
         return _write_error(exc)
-    except BrokenPipeError:
-        # stdout's reader went away, as in ``docstitch ... | head``: the
-        # output is cut short, so the command fails, but quietly.  stdout
-        # is pointed at the null device, or the interpreter's last flush
-        # of it would fail again.  SIGPIPE keeps Python's handler, so a
-        # backend socket that its server closed still raises the error
-        # the remote predictor handles.
+    except _StdoutClosed:
+        # The output is cut short, so the command fails, but quietly.  A
+        # stdout with a file descriptor is pointed at the null device, or
+        # the interpreter's last flush of it would fail again.  SIGPIPE
+        # keeps Python's handler, so a backend socket that its server
+        # closed still raises the BrokenPipeError the remote predictor
+        # handles, and a broken pipe anywhere but stdout is not caught.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            return 1
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, fd)
         os.close(devnull)
         return 1
 

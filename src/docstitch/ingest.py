@@ -43,6 +43,7 @@ from .model import (
     CoordUnit,
     ElementType,
     SharedValues,
+    bbox_in_order,
     check_strings,
     doc_id_of,
     json_str,
@@ -215,7 +216,7 @@ def normalize_elements(
             bbox: Optional[BBox] = values.bbox(bbox_raw)
         except BAD_FIELD:
             bbox = None
-        if bbox is None or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
+        if bbox is None or not bbox_in_order(bbox):
             raise BBoxInvalid(f"block #{pos} has invalid bbox {bbox_raw!r}")
 
         content = profile.pick(block, "content")

@@ -137,32 +137,33 @@ def bbox_of(value: object) -> BBox:
     raise ValueError(f"a bbox holds 4 finite numbers, got {value!r}")
 
 
+def bbox_in_order(box: BBox) -> bool:
+    """Whether a box ``bbox_of`` has read has x0 < x1 and y0 < y1."""
+    return box[0] < box[2] and box[1] < box[3]
+
+
 def bbox_is_valid(bbox: object) -> bool:
     """Whether ``bbox`` is 4 finite numbers with x0 < x1 and y0 < y1."""
     try:
-        x0, y0, x1, y1 = bbox_of(bbox)
+        return bbox_in_order(bbox_of(bbox))
     except BAD_FIELD:
         return False
-    return x0 < x1 and y0 < y1
 
 
 class SharedValues:
-    """One object per distinct page number, coordinate and box of one
-    document, for its elements to share: a long document repeats a few
-    hundred boxes, and fewer coordinates, over thousands of elements.
+    """One object per distinct page number and box of one document, for its
+    elements to share: a long document repeats a few hundred boxes over
+    thousands of elements.
 
     Each value is read by ``json_int`` or ``bbox_of`` first, so sharing
-    changes no value, its type or its sign.  Pages and coordinates have
-    separate tables, as ``1 == 1.0`` would turn a page into a float.  A
-    zero coordinate is never shared, nor a box that holds one, as
-    ``0.0 == -0.0`` would turn a ``-0.0`` into ``0.0``.
+    changes no value, its type or its sign.  A box that holds a zero is
+    never shared, as ``0.0 == -0.0`` would turn a ``-0.0`` into ``0.0``.
     """
 
-    __slots__ = ("_pages", "_coords", "_boxes")
+    __slots__ = ("_pages", "_boxes")
 
     def __init__(self) -> None:
         self._pages: dict[int, int] = {}
-        self._coords: dict[float, float] = {}
         self._boxes: dict[BBox, BBox] = {}
 
     def page(self, value: object) -> int:
@@ -171,14 +172,8 @@ class SharedValues:
 
     def bbox(self, value: object) -> BBox:
         box = bbox_of(value)
-        # No stored box holds a zero, so a box with a zero finds none.
-        shared = self._boxes.get(box)
-        if shared is not None:
-            return shared
-        coords = self._coords
-        box = tuple(coords.setdefault(v, v) if v else v for v in box)  # type: ignore[assignment]
         if box[0] and box[1] and box[2] and box[3]:
-            self._boxes[box] = box
+            return self._boxes.setdefault(box, box)
         return box
 
 
@@ -255,11 +250,9 @@ class CanonicalElement:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict, values: Optional[SharedValues] = None) -> CanonicalElement:
+    def from_dict(cls, d: dict, values: SharedValues) -> CanonicalElement:
         """``values`` shares the page and box with the document's other
-        elements; without it, nothing is shared."""
-        if values is None:
-            values = SharedValues()
+        elements."""
         # Arguments evaluate in field order, so the first bad field is the
         # one a MalformedInput names.
         element = cls(

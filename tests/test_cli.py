@@ -378,6 +378,28 @@ def test_closed_stdout_fails_quietly(tmp_path, monkeypatch, command):
     assert stderr == b""
 
 
+def test_only_a_broken_stdout_pipe_fails_quietly(monkeypatch):
+    # A stdout with no file descriptor whose reader went away: exit 1, and
+    # sys.stdout is left as it was.
+    class ClosedStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    stdout = ClosedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli("inspect-chunks", str(CORPUS_DIR / f"{CORPUS_IDS[0]}.json")) == 1
+    assert sys.stdout is stdout
+
+    # A broken pipe that is not stdout's, such as an --out FIFO's, is raised.
+    def broken_elsewhere(args):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(docstitch.cli, "cmd_inspect_chunks", broken_elsewhere)
+    with pytest.raises(BrokenPipeError):
+        run_cli("inspect-chunks", str(CORPUS_DIR / f"{CORPUS_IDS[0]}.json"))
+
+
 def test_process_accepts_raw_input_with_profile(tmp_path):
     code = run_cli(
         "process", str(RAW / "mineru_blocks.json"),

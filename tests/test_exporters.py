@@ -98,6 +98,19 @@ def test_json_round_trip_preserves_markdown(corpus):
         assert md_after == md_before
 
 
+def test_tree_loader_shares_boxes_and_keeps_zero_signs():
+    # A loaded tree's elements share one object per distinct page and box;
+    # a box that holds a zero is never shared, so its -0.0 is written back.
+    boxes = [(1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), (0.0, 1.0, 2.0, 3.0), (-0.0, 1.0, 2.0, 3.0)]
+    body = [CanonicalElement(i, ElementType.TEXT, f"b{i}", i % 2, box) for i, box in enumerate(boxes)]
+    text = export_json(DocTree("d", CoordUnit.PIXEL, DocNode("root", NodeKind.ROOT, 0, -1, body=body)))
+    tree = tree_from_json(text)
+    assert export_json(tree) == text
+    loaded = tree.root.body
+    assert loaded[0].bbox is loaded[1].bbox
+    assert [repr(e.bbox) for e in loaded] == [repr(box) for box in boxes]
+
+
 def test_json_export_peak_memory_is_below_three_times_its_text(monkeypatch):
     # Export is the memory peak of a run: written as text with no
     # intermediate dict, its traced peak stays near 2x the output.

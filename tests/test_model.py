@@ -166,7 +166,7 @@ def test_bbox_of_takes_4_finite_numbers_as_floats():
     assert bbox_is_valid((0.0, 0.0, 1.0, 1.0))
 
 
-# -- shared pages, coordinates and boxes -------------------------------------
+# -- shared pages and boxes -------------------------------------------------
 
 # A small pool, so that values repeat: zeros of both signs, ints equal to
 # floats, and pages equal to coordinates.
@@ -198,12 +198,8 @@ def test_shared_values_change_no_value(blocks):
         assert loaded == expected
         assert [repr(e.bbox) for e in loaded] == [repr(e.bbox) for e in expected]
         assert all(type(e.page) is int for e in loaded)
-        # Equal boxes, and equal coordinates, with no zero are one object.
+        # Equal boxes with no zero are one object.
         boxes: dict = {}
-        coords: dict = {}
         for e in loaded:
             if all(e.bbox):
                 assert boxes.setdefault(e.bbox, e.bbox) is e.bbox
-            for v in e.bbox:
-                if v:
-                    assert coords.setdefault(v, v) is v
